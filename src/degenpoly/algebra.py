@@ -19,12 +19,21 @@ the ring product is the binomial convolution
 
     (f g).a[n] = sum_j C(n, j) f.a[j] g.a[n - j],
 
-composition is Horner evaluation of sum_k f.a[k]/k! g^k in the truncated
-ring (exact because the inner series has positive order), and the
-compositional inverse is solved order by order against the identity.
+computed on integers: each operand is brought to one common
+denominator, PolyX coefficients are split into x-degree slices, and the
+integer numerators are convolved with Pascal-row weights before each
+output coefficient is rebuilt once as a reduced rational.  Composition is
+Horner evaluation of sum_k f.a[k]/k! g^k in the truncated ring (exact
+because the inner series has positive order), and the compositional
+inverse comes from Lagrange inversion, (f^-1).a[n] = ((t/f)^n).a[n - 1],
+so it costs cap - 1 products and no composition.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
+from math import lcm
+from operator import add, mul
 
 from .rationals import Q, QONE, QZERO
 
@@ -52,6 +61,41 @@ def _coerce(value):
     if isinstance(value, PolyX):
         return value
     return Q(value)
+
+
+def _binomial_convolution(u: list, v: list) -> list:
+    """sum_j C(n, j) u[j] v[n - j] for each n, on equal-length int lists."""
+    v_rev = v[::-1]
+    last = len(v) - 1
+    return [
+        sum(map(mul, binom_row(n), map(mul, u[: n + 1], v_rev[last - n :])))
+        for n in range(len(u))
+    ]
+
+
+def _integer_slices(coeffs: tuple):
+    """Series coefficients as x-degree slices of integers over one denominator.
+
+    Returns (slices, den, nonzero, symbolic): coefficient n equals
+    sum_d slices[d][n] x^d / den; bit n of the int nonzero is set when
+    coefficient n is nonzero, and of symbolic when it is a nonzero PolyX.
+    A scalar coefficient lives in slice 0.
+    """
+    nonzero = symbolic = 0
+    for n, v in enumerate(coeffs):
+        if v:
+            nonzero |= 1 << n
+            if isinstance(v, PolyX):
+                symbolic |= 1 << n
+    columns = [coeffs]
+    if any(isinstance(v, PolyX) for v in coeffs):
+        rows = [v._c if isinstance(v, PolyX) else (v,) for v in coeffs]
+        columns = list(zip_longest(*rows, fillvalue=QZERO)) or [(QZERO,) * len(rows)]
+    den = lcm(*(q.denominator for col in columns for q in col))
+    slices = [
+        [q.numerator * (den // q.denominator) for q in col] for col in columns
+    ]
+    return slices, den, nonzero, symbolic
 
 
 class PolyX:
@@ -325,17 +369,33 @@ class EgfSeries:
             v = _coerce(other)
             return EgfSeries._raw(tuple(u * v for u in self._a))
         self._match(other)
-        a, b = self._a, other._a
+        f_slices, f_den, f_nonzero, f_symbolic = _integer_slices(self._a)
+        g_slices, g_den, g_nonzero, g_symbolic = _integer_slices(other._a)
+        sums = [None] * (len(f_slices) + len(g_slices) - 1)
+        for d, u in enumerate(f_slices):
+            for e, v in enumerate(g_slices):
+                c = _binomial_convolution(u, v)
+                k = d + e
+                sums[k] = c if sums[k] is None else list(map(add, sums[k], c))
+        # Coefficient n is a PolyX exactly when some term of its
+        # convolution pairs a nonzero PolyX with a nonzero partner.
+        symbolic = 0
+        if f_symbolic or g_symbolic:
+            for j in range(len(self._a)):
+                if f_symbolic >> j & 1:
+                    symbolic |= g_nonzero << j
+                if g_symbolic >> j & 1:
+                    symbolic |= f_nonzero << j
+        den = f_den * g_den
         out = []
-        for n in range(len(a)):
-            row = binom_row(n)
-            s = QZERO
-            for j in range(n + 1):
-                u = a[j]
-                v = b[n - j]
-                if u and v:
-                    s = s + row[j] * u * v
-            out.append(s)
+        for n, num in enumerate(sums[0]):
+            if symbolic >> n & 1:
+                c = [Q(s[n], den) if s[n] else QZERO for s in sums]
+                while c and not c[-1]:
+                    c.pop()
+                out.append(PolyX._raw(tuple(c)))
+            else:
+                out.append(Q(num, den) if num else QZERO)
         return EgfSeries._raw(tuple(out))
 
     __rmul__ = __mul__
@@ -385,27 +445,21 @@ class EgfSeries:
         return acc
 
     def comp_inverse(self) -> "EgfSeries":
-        """Compositional inverse, solved order by order.
+        """Compositional inverse by Lagrange inversion.
 
-        Requires order exactly 1.  Each pass composes against the current
-        candidate and cancels the lowest surviving defect; with a[1]
-        invertible the correction is unique, so the result is exact.
+        Requires order exactly 1.  With h = t/f, the inverse has
+        [t^n] = (1/n) [t^(n-1)] h^n, which in EGF normalization reads
+        a[n] = (h^n).a[n - 1]: cap - 1 products and no composition.
         """
-        cap = self.order_cap
-        if self._a[0] or not self._a[1]:
+        if len(self._a) < 2 or self._a[0] or not self._a[1]:
             raise ValueError("compositional inverse needs order exactly 1")
-        c1 = self._a[1]
-        coeffs = [QZERO] * (cap + 1)
-        if cap >= 1:
-            coeffs[1] = QONE / c1
-        inv = EgfSeries._raw(tuple(coeffs))
-        for n in range(2, cap + 1):
-            defect = self.compose(inv)._a[n]
-            if defect:
-                c = list(inv._a)
-                c[n] = c[n] - defect / c1
-                inv = EgfSeries._raw(tuple(c))
-        return inv
+        h = self.shift_down().reciprocal()
+        coeffs = [QZERO, h._a[0]]
+        power = h
+        for n in range(2, len(self._a)):
+            power = power * h
+            coeffs.append(power._a[n - 1])
+        return EgfSeries._raw(tuple(coeffs))
 
     def reciprocal(self) -> "EgfSeries":
         """Multiplicative inverse; the constant term must be a nonzero scalar."""

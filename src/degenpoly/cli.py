@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import families, output, triangles
@@ -44,6 +45,23 @@ def _sample_list(text: str) -> tuple:
     if not parts:
         raise ValueError("empty sample list")
     return tuple(parse_rational(p) for p in parts)
+
+
+# Options taking a rational.  argparse reads only tokens like -2 or -0.5
+# as negative numbers, so a spaced "--lambda -1/3" would look like an
+# unknown flag; main() joins such pairs into "--lambda=-1/3" first.
+_RATIONAL_OPTIONS = ("--lambda", "--lambda-samples", "--x")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv: list) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] = "%s=%s" % (out[-1], token)
+        else:
+            out.append(token)
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -275,7 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return args.handler(args, parser)
     except ValueError as exc:

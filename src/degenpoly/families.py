@@ -21,9 +21,11 @@ conversion and in the transcendental prefactor.
 
 from __future__ import annotations
 
+import math
+
 from . import kernels, triangles
 from .algebra import EgfSeries, PolyX, factorial
-from .rationals import Q, QONE, QZERO
+from .rationals import Q, QONE, QZERO, format_rational
 
 
 def _as_poly(value) -> PolyX:
@@ -164,50 +166,79 @@ def _dobinski_terms(n: int, lam, x, count: int):
         yield k, acc
 
 
+def _checked_float(compute, what: str, lam, x, terms: int) -> float:
+    """Run one float step of the numeric surface.
+
+    A value past the float range is a domain error naming the step, not
+    an OverflowError.  For lam > 1/2 the terms grow like (lam/(1 - lam))^k
+    unless x/lam is a nonnegative integer, so long sums reach that range.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(
+            "dobinski %s overflows a float (lam=%s, x=%s, terms=%d)"
+            % (what, format_rational(lam), format_rational(x), terms)
+        )
+    return value
+
+
+def _dobinski_args(n: int, lam, x, terms: int):
+    _check_n(n)
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
+    lam = Q(lam)
+    x = Q(x)
+    if not (0 < lam < 1):
+        raise ValueError("dobinski evaluation requires 0 < lam < 1")
+    prefactor = _checked_float(
+        lambda: float(1 - lam) ** float(x / lam), "prefactor", lam, x, terms
+    )
+    return lam, x, prefactor
+
+
 def dobinski_eval(n: int, lam, x, terms: int = 200):
     """Truncated Dobinski-style numeric value and its exact reference.
 
     Returns (approximation, reference) as floats.  The partial sum is
     accumulated exactly and floated once; the prefactor (1 - lam)^(x/lam)
     is evaluated in floating point.  Restricted to 0 < lam < 1, the
-    conservatively safe region for this summation.
+    conservatively safe region for this summation; a value too large
+    for a float raises ValueError.
     """
-    _check_n(n)
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
-    lam = Q(lam)
-    x = Q(x)
-    if not (0 < lam < 1):
-        raise ValueError("dobinski evaluation requires 0 < lam < 1")
+    lam, x, prefactor = _dobinski_args(n, lam, x, terms)
     acc = QZERO
     for _, acc in _dobinski_terms(n, lam, x, terms):
         pass
-    prefactor = float(1 - lam) ** float(x / lam)
-    reference = float(fully_degenerate_bell(n, lam)(x))
-    return prefactor * float(acc), reference
+    approx = _checked_float(
+        lambda: prefactor * float(acc), "partial sum", lam, x, terms
+    )
+    reference = _checked_float(
+        lambda: float(fully_degenerate_bell(n, lam)(x)), "reference", lam, x, terms
+    )
+    return approx, reference
 
 
 def dobinski_trace(n: int, lam, x, terms: int = 200) -> dict:
     """Convergence trace: floated partial sums at ten checkpoints plus
     the exact reference and final relative error."""
-    _check_n(n)
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
-    lam = Q(lam)
-    x = Q(x)
-    if not (0 < lam < 1):
-        raise ValueError("dobinski evaluation requires 0 < lam < 1")
-    prefactor = float(1 - lam) ** float(x / lam)
+    lam, x, prefactor = _dobinski_args(n, lam, x, terms)
     step = max(1, terms // 10)
     checkpoints = []
     final = 0.0
     for k, acc in _dobinski_terms(n, lam, x, terms):
-        value = prefactor * float(acc)
+        value = _checked_float(
+            lambda: prefactor * float(acc), "partial sum", lam, x, terms
+        )
         if k == terms or (k and k % step == 0):
             checkpoints.append((k, value))
         if k == terms:
             final = value
-    reference = float(fully_degenerate_bell(n, lam)(x))
+    reference = _checked_float(
+        lambda: float(fully_degenerate_bell(n, lam)(x)), "reference", lam, x, terms
+    )
     denom = abs(reference) if reference else 1.0
     return {
         "checkpoints": checkpoints,

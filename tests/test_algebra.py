@@ -2,6 +2,7 @@
 basis conversions, and the container type."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -16,7 +17,9 @@ from degenpoly.algebra import (
     series_mul,
     to_lambda_falling_basis,
 )
+from degenpoly.kernels import degenerate_exp, lambda_log_series
 from degenpoly.rationals import Q, QONE, QZERO
+from degenpoly.umbral import dowling_pair
 
 CAP = 6
 
@@ -229,3 +232,127 @@ def test_triangle_container():
     with pytest.raises(ValueError):
         Triangle(())
     assert tri == Triangle(tri.rows)
+
+
+# ---------------------------------------------------------------------------
+# integer product kernel and Lagrange inversion
+
+
+def fraction_convolution(f, g):
+    """Reference product: the binomial convolution term by term in
+    rationals, with a coefficient turning PolyX once a term does."""
+    out = []
+    for n in range(len(f.a)):
+        s = QZERO
+        for j in range(n + 1):
+            u, v = f.a[j], g.a[n - j]
+            if u and v:
+                s = s + comb(n, j) * u * v
+        out.append(s)
+    return out
+
+
+def assert_same_coefficients(got, want):
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert type(u) is type(v), (u, v)
+        if isinstance(v, PolyX):
+            assert u.coeffs == v.coeffs
+            assert all(type(p) is type(QZERO) for p in u.coeffs)
+        else:
+            assert u == v
+
+
+def rand_sparse_q(rng):
+    return QZERO if rng.random() < 0.25 else Q(rng.randint(-99, 99), rng.randint(1, 60))
+
+
+def rand_mixed(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rand_sparse_q(rng)
+    if kind == 1:
+        return PolyX.zero()
+    if kind == 2:
+        return PolyX.constant(rand_q(rng))
+    return rand_poly(rng, max_deg=4)
+
+
+def test_series_mul_integer_kernel_scalar():
+    rng = random.Random(49)
+    for cap in range(25):
+        for _ in range(4):
+            f = EgfSeries(cap, [rand_sparse_q(rng) for _ in range(cap + 1)])
+            g = EgfSeries(cap, [rand_sparse_q(rng) for _ in range(cap + 1)])
+            assert_same_coefficients((f * g).a, fraction_convolution(f, g))
+        zero = EgfSeries.zero(cap)
+        assert_same_coefficients((f * zero).a, fraction_convolution(f, zero))
+
+
+def test_series_mul_integer_kernel_mixed_polyx():
+    rng = random.Random(50)
+    for cap in range(13):
+        for _ in range(6):
+            f = EgfSeries(cap, [rand_mixed(rng) for _ in range(cap + 1)])
+            g = EgfSeries(cap, [rand_sparse_q(rng) for _ in range(cap + 1)])
+            h = EgfSeries(cap, [rand_mixed(rng) for _ in range(cap + 1)])
+            assert_same_coefficients((f * g).a, fraction_convolution(f, g))
+            assert_same_coefficients((g * f).a, fraction_convolution(g, f))
+            assert_same_coefficients((f * h).a, fraction_convolution(f, h))
+
+
+def test_series_mul_polyx_cancellation_keeps_type():
+    x = PolyX.x()
+    one = EgfSeries(2, [QONE, QONE])
+    # a[1] = (x + 1) + (-x): the x terms cancel to the constant 1
+    prod = EgfSeries(2, [x + 1, -x]) * one
+    assert prod.a[1] == PolyX.one() and isinstance(prod.a[1], PolyX)
+    # a[1] = x + (-x): cancels to the zero polynomial, still a PolyX
+    prod = EgfSeries(2, [x, -x]) * one
+    assert isinstance(prod.a[1], PolyX) and prod.a[1].is_zero()
+    # a zero PolyX factor contributes no term, so the result stays scalar
+    prod = EgfSeries(2, [PolyX.zero(), Q(2)]) * one
+    assert prod.a == (QZERO, Q(2), Q(4))
+    assert not any(isinstance(v, PolyX) for v in prod.a)
+    # a nonzero PolyX against a zero partner also contributes nothing
+    prod = EgfSeries(2, [x]) * EgfSeries(2, [QZERO, QONE])
+    assert not isinstance(prod.a[0], PolyX)
+    assert isinstance(prod.a[1], PolyX) and prod.a[1] == x
+
+
+@pytest.mark.parametrize("lam", [Q(1, 3), Q(-1, 2), Q(2, 5), Q(-3, 7), Q(5, 4)])
+def test_comp_inverse_lagrange_round_trip(lam):
+    for cap in range(1, 25):
+        t = EgfSeries.t(cap)
+        for f in (
+            lambda_log_series(lam, cap),
+            degenerate_exp(QONE, lam, cap) - 1,
+            dowling_pair(2, lam, cap).f,
+        ):
+            inv = f.comp_inverse()
+            assert f.compose(inv) == t
+            assert inv.compose(f) == t
+
+
+def test_comp_inverse_at_cap_zero_is_a_value_error():
+    # at cap 0 the order cannot be 1; this used to be an IndexError
+    with pytest.raises(ValueError):
+        EgfSeries.zero(0).comp_inverse()
+
+
+def test_comp_inverse_makes_no_compositions(monkeypatch):
+    calls = []
+    compose = EgfSeries.compose
+
+    def counting_compose(self, inner):
+        calls.append(self.order_cap)
+        return compose(self, inner)
+
+    monkeypatch.setattr(EgfSeries, "compose", counting_compose)
+    for cap in (1, 2, 8, 16):
+        lambda_log_series(Q(1, 3), cap).comp_inverse()
+    assert calls == []
+    # the counter does see compositions when they happen
+    f = lambda_log_series(Q(1, 3), 4)
+    f.compose(f)
+    assert calls == [4]

@@ -1,0 +1,60 @@
+"""Backend parity: gmpy2 and the fractions fallback must give the same
+bytes for a verification report and a generated Sheffer basis."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import degenpoly
+from degenpoly.cli import main
+from degenpoly.output import poly_to_csv
+from degenpoly.rationals import Q
+from degenpoly.umbral import dowling_pair, sheffer_generate
+
+SRC = Path(degenpoly.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+CHILD = """
+import sys
+sys.modules["gmpy2"] = None
+sys.path[:0] = [{src!r}, {tests!r}]
+from pathlib import Path
+from degenpoly import rationals
+assert rationals._BACKEND == "fractions", rationals._BACKEND
+import test_backends
+test_backends.write_outputs(Path({out!r}))
+"""
+
+
+def write_outputs(out_dir: Path) -> None:
+    """The verify-all JSON report at n_max 4 and a cap-16 generated basis."""
+    code = main(
+        ["verify", "all", "--n-max", "4", "--format", "json",
+         "--out", str(out_dir / "verify.json")]
+    )
+    assert code == 0
+    polys = sheffer_generate(dowling_pair(2, Q(-2, 5), 16), 16)
+    (out_dir / "sheffer.csv").write_text("\n".join(poly_to_csv(p) for p in polys))
+
+
+def test_gmpy2_and_fractions_backends_agree(tmp_path):
+    try:
+        import gmpy2  # noqa: F401
+    except ImportError:
+        pytest.skip("gmpy2 is absent: the fractions backend is the only one here")
+    from degenpoly import rationals
+
+    assert rationals._BACKEND == "gmpy2"
+    native, fallback = tmp_path / "gmpy2", tmp_path / "fractions"
+    native.mkdir()
+    fallback.mkdir()
+    write_outputs(native)
+    script = CHILD.format(src=str(SRC), tests=str(TESTS), out=str(fallback))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("verify.json", "sheffer.csv"):
+        assert (native / name).read_bytes() == (fallback / name).read_bytes(), name

@@ -211,3 +211,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["1", "0,1", "0,1,1"]
+
+
+def test_negative_rationals_after_a_space(capsys):
+    spaced = run_cli(capsys, "poly", "bell-full", "--n", "3", "--lambda", "-1/3")
+    joined = run_cli(capsys, "poly", "bell-full", "--n", "3", "--lambda=-1/3")
+    assert spaced[0] == 0
+    assert spaced == joined
+    spaced = run_cli(
+        capsys, "dobinski", "--n", "2", "--x", "-1/2", "--lambda", "1/3",
+        "--terms", "20",
+    )
+    joined = run_cli(
+        capsys, "dobinski", "--n", "2", "--x=-1/2", "--lambda", "1/3",
+        "--terms", "20",
+    )
+    assert spaced[0] == 0
+    assert spaced == joined
+    spaced = run_cli(
+        capsys, "verify", "lemma1", "--n-max", "2", "--lambda-samples", "-1/7,2/9",
+    )
+    joined = run_cli(
+        capsys, "verify", "lemma1", "--n-max", "2", "--lambda-samples=-1/7,2/9",
+    )
+    assert spaced[0] == 0
+    assert spaced == joined
+    # decimals already worked through argparse and keep working
+    code, out, _ = run_cli(capsys, "poly", "bell-full", "--n", "2", "--lambda", "-0.5")
+    assert code == 0 and out == run_cli(
+        capsys, "poly", "bell-full", "--n", "2", "--lambda", "-1/2"
+    )[1]
+
+
+def test_dobinski_float_overflow_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "dobinski", "--n", "4", "--x", "1", "--lambda", "12/13",
+        "--terms", "1000",
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: dobinski partial sum overflows a float")
+    assert "Traceback" not in err

@@ -144,6 +144,18 @@ def test_dobinski_domain():
         dobinski_eval(2, Q(1, 2), QONE, terms=-1)
 
 
+def test_dobinski_float_overflow_raises_value_error():
+    # at lam = 12/13 the terms grow like 12^k, past the float range by
+    # k = 290, although every partial sum is exact
+    with pytest.raises(ValueError, match="partial sum overflows a float"):
+        dobinski_eval(4, Q(12, 13), QONE, 400)
+    with pytest.raises(ValueError, match="partial sum overflows a float"):
+        dobinski_trace(4, Q(12, 13), QONE, 400)
+    # x far below zero pushes the prefactor (1 - lam)^(x/lam) out of range
+    with pytest.raises(ValueError, match="prefactor overflows a float"):
+        dobinski_eval(2, Q(1, 10**5), Q(-(10**5)), 10)
+
+
 def test_dobinski_converges_on_terminating_arguments():
     # x/lam integral makes the series terminate, so 200 terms is exact
     # up to float rounding
