@@ -171,7 +171,8 @@ def _checked_float(compute, what: str, lam, x, terms: int) -> float:
 
     A value past the float range is a domain error naming the step, not
     an OverflowError.  For lam > 1/2 the terms grow like (lam/(1 - lam))^k
-    unless x/lam is a nonnegative integer, so long sums reach that range.
+    unless x/lam is a nonnegative integer, so long sums reach that range
+    before _check_convergent would refuse them.
     """
     try:
         value = compute()
@@ -183,6 +184,27 @@ def _checked_float(compute, what: str, lam, x, terms: int) -> float:
             % (what, format_rational(lam), format_rational(x), terms)
         )
     return value
+
+
+def _check_convergent(lam, x):
+    """Refuse a series whose partial sums do not converge.
+
+    The k-th term is (lam/(1 - lam))^k binom(x/lam, k) times a degree-n
+    polynomial in k, so the sum converges geometrically for lam < 1/2
+    and diverges for lam > 1/2; at lam = 1/2 the terms decay at most
+    polynomially.  When x/lam is a nonnegative integer the binomial
+    vanishes from k = x/lam + 1 on and the sum terminates at any lam.
+    Callers run this after the summation, so a divergent sum that has
+    already left the float range is reported as that overflow.
+    """
+    ratio = x / lam
+    if lam < Q(1, 2) or (ratio >= 0 and ratio.denominator == 1):
+        return
+    raise ValueError(
+        "dobinski series diverges at lam=%s, x=%s: it converges only for "
+        "lam < 1/2 or x/lam a nonnegative integer"
+        % (format_rational(lam), format_rational(x))
+    )
 
 
 def _dobinski_args(n: int, lam, x, terms: int):
@@ -204,9 +226,10 @@ def dobinski_eval(n: int, lam, x, terms: int = 200):
 
     Returns (approximation, reference) as floats.  The partial sum is
     accumulated exactly and floated once; the prefactor (1 - lam)^(x/lam)
-    is evaluated in floating point.  Restricted to 0 < lam < 1, the
-    conservatively safe region for this summation; a value too large
-    for a float raises ValueError.
+    is evaluated in floating point.  The series converges for
+    0 < lam < 1/2, and terminates for x/lam a nonnegative integer with
+    0 < lam < 1; anything else raises ValueError, as does a value too
+    large for a float.
     """
     lam, x, prefactor = _dobinski_args(n, lam, x, terms)
     acc = QZERO
@@ -215,6 +238,7 @@ def dobinski_eval(n: int, lam, x, terms: int = 200):
     approx = _checked_float(
         lambda: prefactor * float(acc), "partial sum", lam, x, terms
     )
+    _check_convergent(lam, x)
     reference = _checked_float(
         lambda: float(fully_degenerate_bell(n, lam)(x)), "reference", lam, x, terms
     )
@@ -223,7 +247,8 @@ def dobinski_eval(n: int, lam, x, terms: int = 200):
 
 def dobinski_trace(n: int, lam, x, terms: int = 200) -> dict:
     """Convergence trace: floated partial sums at ten checkpoints plus
-    the exact reference and final relative error."""
+    the exact reference and final relative error.  Same domain as
+    dobinski_eval."""
     lam, x, prefactor = _dobinski_args(n, lam, x, terms)
     step = max(1, terms // 10)
     checkpoints = []
@@ -236,6 +261,7 @@ def dobinski_trace(n: int, lam, x, terms: int = 200) -> dict:
             checkpoints.append((k, value))
         if k == terms:
             final = value
+    _check_convergent(lam, x)
     reference = _checked_float(
         lambda: float(fully_degenerate_bell(n, lam)(x)), "reference", lam, x, terms
     )

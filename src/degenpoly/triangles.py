@@ -27,8 +27,14 @@ from .algebra import (
 from .rationals import Q, QONE, QZERO
 
 
-def _column_power_triangle(n_max: int, base: EgfSeries, lead=None) -> Triangle:
-    """T(n, k) = a[n] of lead * base^k / k! (lead defaults to 1)."""
+def column_power_triangle(n_max: int, base: EgfSeries, lead=None) -> Triangle:
+    """The exponential Riordan array [lead, base]: T(n, k) = a[n] of
+    lead * base^k / k! (lead defaults to 1).
+
+    base must have order >= 1 for the array to be lower triangular.  The
+    deformed Stirling and Whitney triangles here and the two arrays a
+    ShefferPair owns in the umbral module are all built by it.
+    """
     col = EgfSeries.one(n_max) if lead is None else lead
     cols = [col]
     for _ in range(n_max):
@@ -73,14 +79,14 @@ def degenerate_stirling1(n_max: int, lam) -> Triangle:
     """First-kind triangle of the deformed logarithm's power columns."""
     _check_n_max(n_max)
     base = kernels.lambda_log_series(lam, n_max, limit_mode=True)
-    return _column_power_triangle(n_max, base)
+    return column_power_triangle(n_max, base)
 
 
 def degenerate_stirling2(n_max: int, lam) -> Triangle:
     """Second-kind triangle of the deformed exponential's power columns."""
     _check_n_max(n_max)
     base = kernels.degenerate_exp(QONE, lam, n_max, limit_mode=True) - 1
-    return _column_power_triangle(n_max, base)
+    return column_power_triangle(n_max, base)
 
 
 def degenerate_whitney2(n_max: int, m: int, lam) -> Triangle:
@@ -91,7 +97,7 @@ def degenerate_whitney2(n_max: int, m: int, lam) -> Triangle:
         raise ValueError("m must be >= 1")
     lead = kernels.degenerate_exp(QONE, lam, n_max, limit_mode=True)
     base = (kernels.degenerate_exp(Q(m), lam, n_max, limit_mode=True) - 1) * Q(1, m)
-    return _column_power_triangle(n_max, base, lead=lead)
+    return column_power_triangle(n_max, base, lead=lead)
 
 
 def r_whitney2(n_max: int, m: int, r: int) -> Triangle:

@@ -6,22 +6,38 @@ generalized falling basis at the deformation lam.  Against that pairing
 a pair (g, f) of series with orders 0 and 1 owns a unique polynomial
 sequence s_n, characterized by
 
-    <g f^k | s_n> = n! delta_{n,k},
+    <g f^k | s_n> = n! delta_{n,k}.
 
-and ``sheffer_generate`` produces it by expanding the symbolic
-generating series (1/g(fbar)) e^x(fbar) with fbar the compositional
-inverse of f.  The biorthogonality characterization is re-checked after
-generation; an exact engine has no excuse not to.
+Everything the pair determines is read off two exponential Riordan
+arrays, each built once per pair (lazily, by
+``triangles.column_power_triangle``) and cached on it:
 
-``connection_coefficients`` and ``expand_in_basis`` change coordinates
-between two such sequences: both are instances of the same pairing
-formula, the former routed through fbar, the latter applied directly to
-a given polynomial.
+* the Sheffer array S = [1/g(fbar), fbar], fbar the compositional
+  inverse of f.  Row n holds s_n in the falling basis, because the
+  generating series of the sequence is (1/g(fbar)) e^x(fbar) and the
+  deformed exponential e^x has the falling basis as its coefficients.
+  ``sheffer_generate`` reads its rows.
+* the probe array P = [g, f], P(j, k) = (g f^k / k!).a[j], kept as
+  integer numerators over one denominator per column.  A polynomial with
+  falling-basis row q has coordinates q P against the sequence, so
+  ``expand_in_basis`` is one integer matrix-vector product.
+
+Generation is certified: the falling-basis rows of the generated
+polynomials times P must be the identity.  S comes from fbar and P from
+g and f directly, so the check crosses two independent routes; an exact
+engine has no excuse not to make it.
+
+``connection_coefficients`` changes coordinates between two sequences:
+column k is (g_target(fbar) / g_source(fbar)) f_target(fbar)^k / k!,
+with fbar and 1/g_source(fbar) taken from the source's cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from . import families, kernels
 from .algebra import (
@@ -33,14 +49,49 @@ from .algebra import (
     to_lambda_falling_basis,
 )
 from .rationals import Q, QONE, QZERO
+from .triangles import column_power_triangle
+
+
+def _integer_row(values) -> tuple:
+    """Rationals as (integer numerators, their least common denominator)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_columns(tri: Triangle) -> tuple:
+    """Column k of a triangle as _integer_row of T(k, k) .. T(n_max, k)."""
+    n_max = tri.n_max
+    return tuple(
+        _integer_row([tri[n, k] for n in range(k, n_max + 1)])
+        for k in range(n_max + 1)
+    )
+
+
+def _column_sums(nums: list, columns: tuple) -> list:
+    """Integer row vector times a lower-triangular array given by
+    _integer_columns, before the column denominators: entry k is
+    sum_{j >= k} nums[j] num_k[j - k], for k < len(nums)."""
+    return [sum(map(mul, nums[k:], columns[k][0])) for k in range(len(nums))]
+
+
+def _times_columns(values: list, columns: tuple) -> list:
+    """Rational row vector times a lower-triangular array given by
+    _integer_columns; the result is as long as values."""
+    nums, den = _integer_row(values)
+    return [
+        Q(s, den * columns[k][1]) if s else QZERO
+        for k, s in enumerate(_column_sums(nums, columns))
+    ]
 
 
 @dataclass(frozen=True)
 class ShefferPair:
     """A pair (g, f) with o(g) = 0 and o(f) = 1 at a fixed deformation.
 
-    The two series must share a truncation cap; the cap bounds the
-    degrees this pair can generate or expand.
+    The two series must share a truncation cap and have scalar
+    coefficients; the cap bounds the degrees this pair can generate or
+    expand.  The arrays the pair determines are built on first use and
+    cached on the instance, so they live exactly as long as the pair.
     """
 
     g: EgfSeries
@@ -50,16 +101,61 @@ class ShefferPair:
     def __post_init__(self):
         if self.g.order_cap != self.f.order_cap:
             raise ValueError("pair series must share a truncation cap")
-        a0 = self.g.a[0]
-        if isinstance(a0, PolyX) or not a0:
+        for name, series in (("g", self.g), ("f", self.f)):
+            if any(isinstance(v, PolyX) for v in series.a):
+                raise ValueError("%s must have scalar coefficients" % name)
+        if not self.g.a[0]:
             raise ValueError("g must have a nonzero scalar constant term")
-        if self.f.a[0] or not self.f.a[1]:
+        if self.f.order_cap < 1 or self.f.a[0] or not self.f.a[1]:
             raise ValueError("f must have order exactly 1")
         object.__setattr__(self, "lam", Q(self.lam))
 
     @property
     def order_cap(self) -> int:
         return self.g.order_cap
+
+    @cached_property
+    def fbar(self) -> EgfSeries:
+        """The compositional inverse of f."""
+        return self.f.comp_inverse()
+
+    @cached_property
+    def lead(self) -> EgfSeries:
+        """1/g(fbar), the first column of the Sheffer array."""
+        return self.g.compose(self.fbar).reciprocal()
+
+    @cached_property
+    def sheffer_array(self) -> Triangle:
+        """S(n, k) = (lead fbar^k / k!).a[n]: row n is s_n in the
+        generalized falling basis."""
+        return column_power_triangle(self.order_cap, self.fbar, self.lead)
+
+    @cached_property
+    def probe_array(self) -> tuple:
+        """P(j, k) = (g f^k / k!).a[j], as _integer_columns: column k
+        holds the numerators of P(k, k) .. P(cap, k) and their one
+        denominator."""
+        return _integer_columns(column_power_triangle(self.order_cap, self.f, self.g))
+
+    @cached_property
+    def falling_array(self) -> tuple:
+        """F(k, i), the x^i coefficient of x (x - lam) .. (x - (k-1) lam),
+        as _integer_columns: column i holds the numerators of
+        F(i, i) .. F(cap, i), all over q^cap with lam = p/q."""
+        p, q = self.lam.numerator, self.lam.denominator
+        cap = self.order_cap
+        rows = [[1]]  # row k: q^k times the degree-k basis polynomial
+        for k in range(cap):
+            row = [0] * (k + 2)
+            for i, c in enumerate(rows[k]):
+                row[i] -= k * p * c
+                row[i + 1] += q * c
+            rows.append(row)
+        den = q**cap
+        return tuple(
+            ([rows[k][i] * q ** (cap - k) for k in range(i, cap + 1)], den)
+            for i in range(cap + 1)
+        )
 
 
 def pair_functional(series: EgfSeries, p: PolyX, lam):
@@ -100,43 +196,38 @@ def apply_lambda_diff_op(k: int, p: PolyX, lam) -> PolyX:
 def sheffer_generate(pair: ShefferPair, n_max: int) -> list:
     """The first n_max + 1 polynomials owned by the pair.
 
-    Expanded from the symbolic generating series, then certified against
-    the biorthogonality characterization and the degree grading; any
-    violation is a bug in the pair's construction, so it raises.
+    Row n of the pair's Sheffer array gives s_n in the falling basis,
+    and its product with the falling array gives the monomial form.  The
+    result is certified against the biorthogonality characterization and
+    the degree grading; any violation is a bug in the pair's
+    construction, so it raises.
     """
     cap = pair.order_cap
     if n_max > cap:
         raise ValueError("pair cap %d cannot generate degree %d" % (cap, n_max))
-    fbar = pair.f.comp_inverse()
-    unit = pair.g.compose(fbar).reciprocal()
-    sym = kernels.degenerate_exp(PolyX.x(), pair.lam, cap, limit_mode=True)
-    series = unit * sym.compose(fbar)
-    polys = []
-    for n in range(n_max + 1):
-        p = series.a[n]
-        polys.append(p if isinstance(p, PolyX) else PolyX.constant(p))
+    rows = pair.sheffer_array.rows[: n_max + 1]
+    polys = [PolyX(_times_columns(row, pair.falling_array)) for row in rows]
     _assert_biorthogonal(pair, polys)
     return polys
 
 
 def _assert_biorthogonal(pair: ShefferPair, polys: list):
-    basis_rows = [to_lambda_falling_basis(p, pair.lam) for p in polys]
+    """<g f^k | s_n> / k! = delta_{n,k}: the falling-basis row of each
+    polynomial, recomputed from its monomial form, times the probe array.
+
+    Only k <= n is checked; P(j, k) vanishes for j < k by construction,
+    since f has order 1.
+    """
+    columns = pair.probe_array
     for n, p in enumerate(polys):
         if p.degree != n:
             raise AssertionError("generated polynomial %d has wrong degree" % n)
-    probe = pair.g
-    for k in range(len(polys)):
-        for n, q in enumerate(basis_rows):
-            acc = QZERO
-            for j, qj in enumerate(q):
-                if qj and probe.a[j]:
-                    acc = acc + probe.a[j] * qj
-            want = factorial(n) if n == k else QZERO
-            if acc != want:
+        nums, den = _integer_row(to_lambda_falling_basis(p, pair.lam))
+        for k, s in enumerate(_column_sums(nums, columns)):
+            if s != (den * columns[k][1] if k == n else 0):
                 raise AssertionError(
                     "biorthogonality failed at n=%d k=%d" % (n, k)
                 )
-        probe = probe * pair.f
 
 
 def connection_coefficients(
@@ -145,8 +236,10 @@ def connection_coefficients(
     """Coefficients rewriting the source sequence in the target sequence.
 
     Row n holds c_{n,0} .. c_{n,n} with source_n = sum_k c_{n,k}
-    target_k.  Entries above the diagonal vanish by the order grading;
-    that is asserted rather than assumed.
+    target_k.  Column k is (g_target(fbar) / g_source(fbar))
+    f_target(fbar)^k / k! with fbar the source's cached inverse.  Entries
+    above the diagonal vanish by the order grading; that is asserted
+    rather than assumed.
     """
     if source.lam != target.lam:
         raise ValueError("pairs live at different deformations")
@@ -155,8 +248,8 @@ def connection_coefficients(
         raise ValueError("pairs must share a truncation cap")
     if n_max > cap:
         raise ValueError("pair cap %d cannot expand degree %d" % (cap, n_max))
-    fbar = source.f.comp_inverse()
-    ratio = target.g.compose(fbar) * source.g.compose(fbar).reciprocal()
+    fbar = source.fbar
+    ratio = target.g.compose(fbar) * source.lead
     inner = target.f.compose(fbar)
     rows = [[] for _ in range(n_max + 1)]
     col = ratio
@@ -178,7 +271,8 @@ def connection_coefficients(
 def expand_in_basis(p: PolyX, target: ShefferPair) -> list:
     """Coefficients of p against the target pair's sequence.
 
-    Returns C_0 .. C_deg(p) with p = sum_k C_k target_k; each C_k is the
+    Returns C_0 .. C_deg(p) with p = sum_k C_k target_k: the row of p in
+    the falling basis times the target's probe array, so C_k is the
     pairing of g f^k against p scaled by 1/k!.
     """
     if p.degree > target.order_cap:
@@ -186,17 +280,7 @@ def expand_in_basis(p: PolyX, target: ShefferPair) -> list:
             "pair cap %d cannot expand degree %d"
             % (target.order_cap, p.degree)
         )
-    q = to_lambda_falling_basis(p, target.lam)
-    out = []
-    probe = target.g
-    for k in range(len(q)):
-        acc = QZERO
-        for j, qj in enumerate(q):
-            if qj and probe.a[j]:
-                acc = acc + probe.a[j] * qj
-        out.append(acc / factorial(k))
-        probe = probe * target.f
-    return out
+    return _times_columns(to_lambda_falling_basis(p, target.lam), target.probe_array)
 
 
 def combine_basis(coeffs, polys) -> PolyX:

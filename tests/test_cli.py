@@ -252,3 +252,22 @@ def test_dobinski_float_overflow_is_a_domain_error(capsys):
     assert not out
     assert err.startswith("error: dobinski partial sum overflows a float")
     assert "Traceback" not in err
+
+
+def test_dobinski_divergent_series_is_a_domain_error(capsys):
+    # the terms grow like (lam/(1 - lam))^k: both runs used to exit 0
+    # with a huge rel_error
+    for lam, x in (("1/2", "1/9"), ("3/5", "1/3")):
+        code, out, err = run_cli(
+            capsys, "dobinski", "--n", "3", "--lambda=" + lam, "--x=" + x,
+            "--terms", "1000",
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error: dobinski series diverges at lam=%s" % lam)
+    # lam = 1/2 with x/lam = 2 terminates and stays accepted
+    code, out, _ = run_cli(
+        capsys, "dobinski", "--n", "3", "--lambda=1/2", "--x=1", "--terms", "100"
+    )
+    assert code == 0
+    assert "rel_error  0.000e+00" in out

@@ -183,3 +183,19 @@ def test_family_argument_validation():
         fully_degenerate_dowling(2, 0, Q(1, 2))
     with pytest.raises(ValueError):
         degenerate_poly_bell(2, Q(3, 2), Q(1, 2))  # order must be an integer
+
+
+def test_dobinski_refuses_divergent_series():
+    # lam >= 1/2 diverges unless x/lam is a nonnegative integer
+    for lam, x in ((Q(1, 2), Q(1, 9)), (Q(3, 5), Q(1, 3)), (Q(3, 5), Q(-3, 5)),
+                   (Q(9, 10), Q(-9, 20))):
+        with pytest.raises(ValueError, match="diverges"):
+            dobinski_eval(2, lam, x, 30)
+        with pytest.raises(ValueError, match="diverges"):
+            dobinski_trace(2, lam, x, 30)
+    # below 1/2 any x converges; above it x/lam integral terminates
+    for lam, x in ((Q(9, 20), Q(1, 9)), (Q(1, 3), Q(-2, 7)),
+                   (Q(3, 5), Q(6, 5)), (Q(9, 10), QZERO)):
+        approx, reference = dobinski_eval(2, lam, x, 400)
+        denom = abs(reference) if reference else 1.0
+        assert abs(approx - reference) / denom < 1e-8

@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from degenpoly.algebra import EgfSeries, PolyX
+from degenpoly.algebra import EgfSeries, PolyX, Triangle, to_lambda_falling_basis
 from degenpoly.families import (
     degenerate_bernoulli,
     degenerate_bernoulli2,
     fully_degenerate_bell,
     fully_degenerate_dowling,
 )
-from degenpoly.kernels import lambda_falling
+from degenpoly.kernels import degenerate_exp, lambda_falling
 from degenpoly.rationals import Q, QONE, QZERO
 from degenpoly.triangles import degenerate_stirling1, degenerate_stirling2, degenerate_whitney2
 from degenpoly.umbral import (
@@ -29,6 +29,7 @@ from degenpoly.umbral import (
     falling_pair,
     pair_functional,
     poly_bell_pair,
+    rescaled_bell_pair,
     sheffer_generate,
 )
 
@@ -219,3 +220,159 @@ def test_rescaled_pair_polys():
         want = Q(m) ** n * base(sub)
         want = want if isinstance(want, PolyX) else PolyX.constant(want)
         assert polys[n] == want
+
+
+# ---------------------------------------------------------------------------
+# the arrays a pair owns, against the per-call routes they replaced
+
+
+def _reference_expand(p, pair):
+    """C_k = <g f^k | p> / k!, rebuilding g f^k with one product per k."""
+    q = to_lambda_falling_basis(p, pair.lam)
+    out = []
+    probe = pair.g
+    for k in range(len(q)):
+        acc = QZERO
+        for j, qj in enumerate(q):
+            acc = acc + probe.a[j] * qj
+        out.append(acc / fact(k))
+        probe = probe * pair.f
+    return out
+
+
+def _reference_generate(pair, n_max):
+    """EGF coefficients of (1/g(fbar)) e^x(fbar), composed symbolically."""
+    fbar = pair.f.comp_inverse()
+    unit = pair.g.compose(fbar).reciprocal()
+    sym = degenerate_exp(PolyX.x(), pair.lam, pair.order_cap, limit_mode=True)
+    series = unit * sym.compose(fbar)
+    return [
+        p if isinstance(p, PolyX) else PolyX.constant(p)
+        for p in series.a[: n_max + 1]
+    ]
+
+
+def _random_scalars(rng, count, nonzero=False):
+    lo = 1 if nonzero else 0
+    return [
+        Q(rng.choice((-1, 1)) * rng.randint(lo, 6), rng.randint(1, 6))
+        for _ in range(count)
+    ]
+
+
+def _random_poly(rng, degree):
+    return PolyX(_random_scalars(rng, degree + 1))
+
+
+def _random_pair(rng, lam, cap):
+    g = _random_scalars(rng, 1, nonzero=True) + _random_scalars(rng, cap)
+    f = [QZERO] + _random_scalars(rng, 1, nonzero=True) + _random_scalars(rng, cap - 1)
+    return ShefferPair(EgfSeries(cap, g), EgfSeries(cap, f), lam)
+
+
+def _standard_pairs(lam, cap):
+    return [
+        falling_pair(lam, cap),
+        bell_pair(lam, cap),
+        bernoulli_pair(lam, cap),
+        bernoulli2_pair(lam, cap),
+        poly_bell_pair(2, lam, cap),
+        dowling_pair(2, lam, cap),
+        rescaled_bell_pair(3, lam, cap),
+    ]
+
+
+def test_cached_arrays_match_per_call_routes_on_standard_pairs():
+    rng = random.Random(23)
+    cases = ((1, Q(-2, 5)), (4, Q(1, 3)), (9, QZERO), (12, Q(-5, 4)), (16, Q(3, 7)))
+    for cap, lam in cases:
+        for pair in _standard_pairs(lam, cap):
+            assert sheffer_generate(pair, cap) == _reference_generate(pair, cap)
+            for _ in range(3):
+                p = _random_poly(rng, rng.randint(-1, cap))
+                assert expand_in_basis(p, pair) == _reference_expand(p, pair)
+
+
+def test_cached_arrays_match_per_call_routes_on_random_pairs():
+    rng = random.Random(29)
+    lams = (Q(1, 3), Q(-2, 5), Q(3, 7), Q(-5, 4), QZERO)
+    for cap in range(1, 17):
+        pair = _random_pair(rng, lams[cap % len(lams)], cap)
+        n_max = rng.randint(0, cap)
+        assert sheffer_generate(pair, n_max) == _reference_generate(pair, n_max)
+        for degree in (0, cap // 2, cap):
+            p = _random_poly(rng, degree)
+            assert expand_in_basis(p, pair) == _reference_expand(p, pair)
+    assert expand_in_basis(PolyX.zero(), pair) == []
+
+
+def test_pair_needs_cap_one_for_order_one():
+    # no series at cap 0 has order 1, so no pair exists there
+    with pytest.raises(ValueError):
+        ShefferPair(EgfSeries.one(0), EgfSeries.zero(0), Q(1, 3))
+
+
+def test_pair_rejects_polyx_coefficients():
+    lam = Q(1, 3)
+    with pytest.raises(ValueError, match="scalar"):
+        ShefferPair(EgfSeries(4, [QONE, PolyX.x()]), EgfSeries.t(4), lam)
+    with pytest.raises(ValueError, match="scalar"):
+        ShefferPair(EgfSeries.one(4), EgfSeries(4, [QZERO, QONE, PolyX.x()]), lam)
+    with pytest.raises(ValueError, match="scalar"):
+        ShefferPair(EgfSeries(4, [PolyX.one()]), EgfSeries.t(4), lam)
+
+
+def test_expansion_reuses_the_probe_array(monkeypatch):
+    calls = []
+    original = EgfSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(EgfSeries, "__mul__", counting)
+    rng = random.Random(31)
+    pair = dowling_pair(2, Q(-3, 7), 12)
+    polys = [_random_poly(rng, 12) for _ in range(5)]
+    expand_in_basis(polys[0], pair)
+    assert calls  # the first call builds g f^k
+    calls.clear()
+    for p in polys:
+        expand_in_basis(p, pair)
+    assert not calls
+    # a fresh pair rebuilds its own array: nothing is kept between pairs
+    expand_in_basis(polys[0], dowling_pair(2, Q(-3, 7), 12))
+    assert calls
+
+
+def _corrupted(values, i):
+    values = list(values)
+    values[i] = values[i] + 1
+    return values
+
+
+def test_generation_certificate_catches_a_corrupted_array():
+    lam, cap = Q(2, 5), 4
+    reference = sheffer_generate(bernoulli2_pair(lam, cap), cap)
+    # every entry of the Sheffer array
+    for n in range(cap + 1):
+        for k in range(n + 1):
+            pair = bernoulli2_pair(lam, cap)
+            rows = [list(r) for r in pair.sheffer_array.rows]
+            rows[n] = _corrupted(rows[n], k)
+            pair.__dict__["sheffer_array"] = Triangle(rows)
+            with pytest.raises(AssertionError):
+                sheffer_generate(pair, cap)
+    # every numerator of the probe and falling arrays
+    for name in ("probe_array", "falling_array"):
+        for k in range(cap + 1):
+            for j in range(cap + 1 - k):
+                pair = bernoulli2_pair(lam, cap)
+                cols = list(getattr(pair, name))
+                nums, den = cols[k]
+                cols[k] = (_corrupted(nums, j), den)
+                pair.__dict__[name] = tuple(cols)
+                with pytest.raises(AssertionError):
+                    sheffer_generate(pair, cap)
+    # a fresh pair is unaffected
+    assert sheffer_generate(bernoulli2_pair(lam, cap), cap) == reference
