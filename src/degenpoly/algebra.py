@@ -264,6 +264,11 @@ class PolyX:
         return "PolyX([%s])" % ", ".join(str(v) for v in self._c)
 
 
+def as_poly(value) -> PolyX:
+    """A PolyX as itself, a scalar as the constant polynomial."""
+    return value if isinstance(value, PolyX) else PolyX.constant(value)
+
+
 class EgfSeries:
     """Truncated power series in EGF normalization.
 
@@ -502,23 +507,6 @@ class EgfSeries:
         if order_cap > self.order_cap:
             raise ValueError("cannot truncate upward")
         return EgfSeries._raw(self._a[: order_cap + 1])
-
-
-def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
-    """Ring product in EGF normalization (binomial convolution)."""
-    return f * g
-
-
-def series_compose(f: EgfSeries, g: EgfSeries) -> EgfSeries:
-    return f.compose(g)
-
-
-def series_comp_inverse(f: EgfSeries) -> EgfSeries:
-    return f.comp_inverse()
-
-
-def series_pow(f: EgfSeries, k: int) -> EgfSeries:
-    return f**k
 
 
 def binomial_series(alpha, c, order_cap: int) -> EgfSeries:

@@ -1,14 +1,21 @@
 """Polynomial families built on the deformed kernels.
 
-Every constructor returns the degree-n member of its family as an exact
-PolyX.  Two construction styles appear:
+This module is the one place where each family's polynomials are built.
+Every family has a single-degree constructor returning the degree-n
+member as an exact PolyX; the families used in bulk also have a sequence
+form returning degrees 0..n_max in one list, and the single-degree
+constructor is element [n] of that list.  Two construction styles
+appear:
 
 * triangle sums (Bell and Dowling variants): the polynomial is a linear
   combination of monomials or generalized falling factorials with
-  Stirling/Whitney triangle entries as weights;
+  Stirling/Whitney triangle entries as weights.  ``falling_basis_rows``
+  reads every row of a triangle against the falling basis, building
+  each basis polynomial once;
 * series products (Bernoulli variants and the polyexponential Bell
-  family): the polynomial is an EGF coefficient of an explicit product
-  of kernel series, with symbolic x carried in the coefficients.
+  family): the polynomials are the EGF coefficients of an explicit
+  product of kernel series, with symbolic x carried in the coefficients,
+  so one product yields the whole sequence.
 
 The generating-function route for the triangle-sum families is *not*
 computed here; the verifier recomputes those polynomials through series
@@ -24,12 +31,8 @@ from __future__ import annotations
 import math
 
 from . import kernels, triangles
-from .algebra import EgfSeries, PolyX, factorial
+from .algebra import EgfSeries, PolyX, Triangle, as_poly
 from .rationals import Q, QONE, QZERO, format_rational
-
-
-def _as_poly(value) -> PolyX:
-    return value if isinstance(value, PolyX) else PolyX.constant(value)
 
 
 def _check_n(n: int):
@@ -37,16 +40,31 @@ def _check_n(n: int):
         raise ValueError("n must be >= 0")
 
 
+def falling_basis_rows(tri: Triangle, lam) -> list:
+    """Every row of tri against the generalized falling basis.
+
+    Entry n is sum_k T(n, k) x (x - lam) .. (x - (k-1) lam).  The basis
+    polynomials are built once, each from the one before.
+    """
+    lam = Q(lam)
+    x = PolyX.x()
+    basis = [PolyX.one()]
+    for k in range(tri.n_max):
+        basis.append(basis[-1] * (x - k * lam))
+    out = []
+    for row in tri.rows:
+        acc = PolyX.zero()
+        for c, b in zip(row, basis):
+            if c:
+                acc = acc + c * b
+        out.append(acc)
+    return out
+
+
 def fully_degenerate_bell(n: int, lam) -> PolyX:
     """Second-kind triangle entries against the generalized falling basis."""
     _check_n(n)
-    tri = triangles.degenerate_stirling2(n, lam)
-    acc = PolyX.zero()
-    for k in range(n + 1):
-        c = tri[n, k]
-        if c:
-            acc = acc + c * kernels.lambda_falling(k, lam)
-    return acc
+    return falling_basis_rows(triangles.degenerate_stirling2(n, lam), lam)[n]
 
 
 def partial_degenerate_bell(n: int, lam) -> PolyX:
@@ -64,13 +82,7 @@ def bell_polynomial(n: int) -> PolyX:
 def fully_degenerate_dowling(n: int, m: int, lam) -> PolyX:
     """Whitney triangle entries against the generalized falling basis."""
     _check_n(n)
-    tri = triangles.degenerate_whitney2(n, m, lam)
-    acc = PolyX.zero()
-    for k in range(n + 1):
-        c = tri[n, k]
-        if c:
-            acc = acc + c * kernels.lambda_falling(k, lam)
-    return acc
+    return falling_basis_rows(triangles.degenerate_whitney2(n, m, lam), lam)[n]
 
 
 def degenerate_dowling(n: int, m: int, lam) -> PolyX:
@@ -85,27 +97,37 @@ def dowling_polynomial(n: int, m: int) -> PolyX:
     return degenerate_dowling(n, m, QZERO)
 
 
-def degenerate_bernoulli(n: int, lam) -> PolyX:
-    """EGF coefficient n of (t over the deformed exp minus one) times the
-    symbolic deformed exponential."""
-    _check_n(n)
-    grown = kernels.degenerate_exp(QONE, lam, n + 1, limit_mode=True) - 1
+def degenerate_bernoulli_polys(n_max: int, lam) -> list:
+    """EGF coefficients 0..n_max of (t over the deformed exp minus one)
+    times the symbolic deformed exponential."""
+    _check_n(n_max)
+    grown = kernels.degenerate_exp(QONE, lam, n_max + 1, limit_mode=True) - 1
     unit = grown.shift_down().reciprocal()
-    sym = kernels.degenerate_exp(PolyX.x(), lam, n, limit_mode=True)
-    return _as_poly((unit * sym).a[n])
+    sym = kernels.degenerate_exp(PolyX.x(), lam, n_max, limit_mode=True)
+    return [as_poly(c) for c in (unit * sym).a]
 
 
-def degenerate_bernoulli2(n: int, lam) -> PolyX:
+def degenerate_bernoulli(n: int, lam) -> PolyX:
+    """Degree-n member of degenerate_bernoulli_polys."""
+    return degenerate_bernoulli_polys(n, lam)[n]
+
+
+def degenerate_bernoulli2_polys(n_max: int, lam) -> list:
     """Second-kind variant: t over the deformed log, against (1 + t)^x.
 
     (1 + t)^x is the lam = 1 deformed exponential, so its EGF
     coefficients are the classical falling factorials of x.
     """
-    _check_n(n)
-    grown = kernels.lambda_log_series(lam, n + 1, limit_mode=True)
+    _check_n(n_max)
+    grown = kernels.lambda_log_series(lam, n_max + 1, limit_mode=True)
     unit = grown.shift_down().reciprocal()
-    sym = kernels.degenerate_exp(PolyX.x(), QONE, n)
-    return _as_poly((unit * sym).a[n])
+    sym = kernels.degenerate_exp(PolyX.x(), QONE, n_max)
+    return [as_poly(c) for c in (unit * sym).a]
+
+
+def degenerate_bernoulli2(n: int, lam) -> PolyX:
+    """Degree-n member of degenerate_bernoulli2_polys."""
+    return degenerate_bernoulli2_polys(n, lam)[n]
 
 
 def degenerate_polyexp_series(k: int, lam, order_cap: int) -> EgfSeries:
@@ -126,21 +148,26 @@ def degenerate_polyexp_series(k: int, lam, order_cap: int) -> EgfSeries:
     return EgfSeries(order_cap, out)
 
 
-def degenerate_poly_bell(n: int, k: int, lam) -> PolyX:
-    """Coefficient n of (polyexp of the deformed log, over the deformed
-    exp minus one) times the symbolic deformed exponential.
+def degenerate_poly_bell_polys(n_max: int, k: int, lam) -> list:
+    """EGF coefficients 0..n_max of (polyexp of the deformed log, over
+    the deformed exp minus one) times the symbolic deformed exponential.
 
     k = 1 collapses the first factor to t/(e - 1), i.e. the Bernoulli
     family.
     """
-    _check_n(n)
-    cap = n + 1
+    _check_n(n_max)
+    cap = n_max + 1
     log_series = kernels.lambda_log_series(lam, cap, limit_mode=True)
     numer = degenerate_polyexp_series(k, lam, cap).compose(log_series)
     denom = kernels.degenerate_exp(QONE, lam, cap, limit_mode=True) - 1
     unit = numer.shift_down() * denom.shift_down().reciprocal()
-    sym = kernels.degenerate_exp(PolyX.x(), lam, n, limit_mode=True)
-    return _as_poly((unit * sym).a[n])
+    sym = kernels.degenerate_exp(PolyX.x(), lam, n_max, limit_mode=True)
+    return [as_poly(c) for c in (unit * sym).a]
+
+
+def degenerate_poly_bell(n: int, k: int, lam) -> PolyX:
+    """Degree-n member of degenerate_poly_bell_polys."""
+    return degenerate_poly_bell_polys(n, k, lam)[n]
 
 
 # ---------------------------------------------------------------------------

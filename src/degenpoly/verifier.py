@@ -11,10 +11,13 @@ tolerance-checked and never claims exact certification.
 Checkers recompute both sides of each identity through deliberately
 different routes: triangle sums against series compositions, engine
 connection coefficients against independent closed-form double/quadruple
-sums, algebra against brute-force enumeration.  Shared inputs (triangles,
-kernel series, family polynomials) are cached per run in a workspace;
-the cache is created fresh for every verification call so a patched or
-corrupted constructor is always honored.
+sums, algebra against brute-force enumeration.  The verifier builds no
+family polynomial itself: triangles, kernel series, family polynomials
+and Sheffer pairs all come from the package's public constructors (the
+family polynomials from ``families``, the very code the package ships)
+and are cached per run in a workspace.  The cache is created fresh for
+every verification call so a patched or corrupted constructor is always
+honored.
 
 Reports are deterministic: identical arguments produce identical report
 objects, byte-identical once serialized.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import families, kernels, triangles, umbral
-from .algebra import PolyX, binom_row, factorial, to_lambda_falling_basis
+from .algebra import PolyX, as_poly, binom_row, factorial
 from .rationals import Q, QONE, QZERO, format_rational
 
 
@@ -216,11 +219,17 @@ def _fail(point: PointResult, lhs, rhs, context: str = ""):
 
 
 class _Workspace:
-    """Per-run cache of triangles, kernel series, and family polynomials.
+    """Per-run cache of triangles, kernel series, family polynomials and
+    Sheffer pairs.
 
-    All construction goes through the public module functions so that a
-    deliberately substituted (or corrupted) constructor is honored; the
-    workspace never outlives the verification call that created it.
+    Every entry is one call of a public module function, looked up on its
+    module at call time so that a deliberately substituted (or corrupted)
+    constructor is honored.  The Bell and Dowling families are
+    ``families.falling_basis_rows`` on the triangles this cache already
+    holds, so no triangle is built twice; the series families are the
+    ``families`` sequence constructors at n_max; pairs are keyed by their
+    ``umbral`` constructor.  The workspace never outlives the
+    verification call that created it.
     """
 
     def __init__(self, cfg: SuiteConfig):
@@ -299,53 +308,22 @@ class _Workspace:
 
     # family polynomials --------------------------------------------------
     def bell_polys(self, lam):
-        def build():
-            tri = self.s2deg(lam)
-            out = []
-            for n in range(self.cfg.n_max + 1):
-                acc = PolyX.zero()
-                for k in range(n + 1):
-                    c = tri[n, k]
-                    if c:
-                        acc = acc + c * self.falling(k, lam)
-                out.append(acc)
-            return out
-
-        return self._get(("bell_polys", lam), build)
+        return self._get(
+            ("bell_polys", lam),
+            lambda: families.falling_basis_rows(self.s2deg(lam), lam),
+        )
 
     def dowling_polys(self, m, lam):
-        def build():
-            tri = self.wdeg(m, lam)
-            out = []
-            for n in range(self.cfg.n_max + 1):
-                acc = PolyX.zero()
-                for k in range(n + 1):
-                    c = tri[n, k]
-                    if c:
-                        acc = acc + c * self.falling(k, lam)
-                out.append(acc)
-            return out
-
-        return self._get(("dowling_polys", m, lam), build)
-
-    def _series_family(self, key, build_series):
-        def build():
-            series = build_series()
-            out = []
-            for n in range(self.cfg.n_max + 1):
-                p = series.a[n]
-                out.append(p if isinstance(p, PolyX) else PolyX.constant(p))
-            return out
-
-        return self._get(key, build)
+        return self._get(
+            ("dowling_polys", m, lam),
+            lambda: families.falling_basis_rows(self.wdeg(m, lam), lam),
+        )
 
     def bernoulli_polys(self, lam):
-        def series():
-            cap = self.cfg.n_max
-            grown = kernels.degenerate_exp(QONE, lam, cap + 1, limit_mode=True) - 1
-            return grown.shift_down().reciprocal() * self.dexp_sym(lam)
-
-        return self._series_family(("bernoulli_polys", lam), series)
+        return self._get(
+            ("bernoulli_polys", lam),
+            lambda: families.degenerate_bernoulli_polys(self.cfg.n_max, lam),
+        )
 
     def bernoulli_numbers(self, lam):
         return self._get(
@@ -354,49 +332,27 @@ class _Workspace:
         )
 
     def bernoulli2_polys(self, lam):
-        def series():
-            cap = self.cfg.n_max
-            grown = kernels.lambda_log_series(lam, cap + 1, limit_mode=True)
-            sym = kernels.degenerate_exp(PolyX.x(), QONE, cap)
-            return grown.shift_down().reciprocal() * sym
-
-        return self._series_family(("bernoulli2_polys", lam), series)
+        return self._get(
+            ("bernoulli2_polys", lam),
+            lambda: families.degenerate_bernoulli2_polys(self.cfg.n_max, lam),
+        )
 
     def polybell_polys(self, k, lam):
-        def series():
-            cap = self.cfg.n_max
-            log_series = kernels.lambda_log_series(lam, cap + 1, limit_mode=True)
-            numer = families.degenerate_polyexp_series(k, lam, cap + 1).compose(
-                log_series
-            )
-            denom = kernels.degenerate_exp(QONE, lam, cap + 1, limit_mode=True) - 1
-            unit = numer.shift_down() * denom.shift_down().reciprocal()
-            return unit * self.dexp_sym(lam)
-
-        return self._series_family(("polybell_polys", k, lam), series)
+        return self._get(
+            ("polybell_polys", k, lam),
+            lambda: families.degenerate_poly_bell_polys(self.cfg.n_max, k, lam),
+        )
 
     # engine pairs --------------------------------------------------------
-    def pair(self, name, lam, m=None, k=None):
-        cap = self.cfg.n_max
+    def pair(self, ctor, *args):
+        """ctor(*args, cap) for one of the umbral pair constructors.
 
-        def build():
-            if name == "falling":
-                return umbral.falling_pair(lam, cap)
-            if name == "bell":
-                return umbral.bell_pair(lam, cap)
-            if name == "bernoulli":
-                return umbral.bernoulli_pair(lam, cap)
-            if name == "bernoulli2":
-                return umbral.bernoulli2_pair(lam, cap)
-            if name == "polybell":
-                return umbral.poly_bell_pair(k, lam, cap)
-            if name == "dowling":
-                return umbral.dowling_pair(m, lam, cap)
-            if name == "rescaled_bell":
-                return umbral.rescaled_bell_pair(m, lam, cap)
-            raise ValueError("unknown pair %r" % name)
-
-        return self._get(("pair", name, lam, m, k), build)
+        The cap is at least 1, the least a pair accepts, so the checkers
+        also run at n_max = 0.
+        """
+        return self._get(
+            ("pair", ctor) + args, lambda: ctor(*args, max(self.cfg.n_max, 1))
+        )
 
     # oracles -------------------------------------------------------------
     def bell_number(self, n):
@@ -482,8 +438,7 @@ def check_lemma1(ws: _Workspace, cfg: SuiteConfig):
         inner = ws.dexp1(lam) - 1
         series = ws.dexp_sym(lam).compose(inner)
         for n in range(cfg.n_max + 1):
-            gf = series.a[n]
-            gf = gf if isinstance(gf, PolyX) else PolyX.constant(gf)
+            gf = as_poly(series.a[n])
             point = PointResult(n=n, lam=lam)
             if sum_side[n] != gf:
                 _fail(point, sum_side[n], gf)
@@ -500,8 +455,7 @@ def check_thm3_gf(ws: _Workspace, cfg: SuiteConfig):
             inner = (ws.dexpm(m, lam) - 1) * Q(1, m)
             series = ws.dexp1(lam) * ws.dexp_sym(lam).compose(inner)
             for n in range(cfg.n_max + 1):
-                gf = series.a[n]
-                gf = gf if isinstance(gf, PolyX) else PolyX.constant(gf)
+                gf = as_poly(series.a[n])
                 point = PointResult(n=n, lam=lam, m=m)
                 if sum_side[n] != gf:
                     _fail(point, sum_side[n], gf)
@@ -539,10 +493,7 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
             row = binom_row(n)
             point = PointResult(n=n, lam=lam)
             for y in range(n + 1):
-                shifted = polys[n](PolyX((Q(y), QONE)))
-                shifted = (
-                    shifted if isinstance(shifted, PolyX) else PolyX.constant(shifted)
-                )
+                shifted = as_poly(polys[n](PolyX((Q(y), QONE))))
                 acc = PolyX.zero()
                 for l in range(n + 1):
                     value = polys[n - l](Q(y))
@@ -579,7 +530,9 @@ def check_thm5(ws: _Workspace, cfg: SuiteConfig):
         bern = ws.bernoulli_polys(lam)
         bell = ws.bell_polys(lam)
         engine = umbral.connection_coefficients(
-            ws.pair("bernoulli", lam), ws.pair("bell", lam), cfg.n_max
+            ws.pair(umbral.bernoulli_pair, lam),
+            ws.pair(umbral.bell_pair, lam),
+            cfg.n_max,
         )
         closed = []
         for n in range(cfg.n_max + 1):
@@ -611,7 +564,9 @@ def check_thm6(ws: _Workspace, cfg: SuiteConfig):
         s1d = ws.s1deg(lam)
         bell = ws.bell_polys(lam)
         engine = umbral.connection_coefficients(
-            ws.pair("falling", lam), ws.pair("bell", lam), cfg.n_max
+            ws.pair(umbral.falling_pair, lam),
+            ws.pair(umbral.bell_pair, lam),
+            cfg.n_max,
         )
         closed = [
             [s1d[n, k] for k in range(n + 1)] for n in range(cfg.n_max + 1)
@@ -636,8 +591,8 @@ def check_thm7(ws: _Workspace, cfg: SuiteConfig):
             polys = ws.polybell_polys(k_order, lam)
             numbers = [p.coeff(0) for p in polys]
             engine = umbral.connection_coefficients(
-                ws.pair("polybell", lam, k=k_order),
-                ws.pair("bell", lam),
+                ws.pair(umbral.poly_bell_pair, k_order, lam),
+                ws.pair(umbral.bell_pair, lam),
                 cfg.n_max,
             )
             closed = []
@@ -678,7 +633,9 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
         bell = ws.bell_polys(lam)
         b2 = ws.bernoulli2_polys(lam)
         engine = umbral.connection_coefficients(
-            ws.pair("bell", lam), ws.pair("bernoulli2", lam), cfg.n_max
+            ws.pair(umbral.bell_pair, lam),
+            ws.pair(umbral.bernoulli2_pair, lam),
+            cfg.n_max,
         )
         bell_at = [
             [p(Q(l)) for l in range(cfg.n_max + 1)] for p in bell
@@ -740,10 +697,10 @@ def check_thm9_roundtrip(ws: _Workspace, cfg: SuiteConfig):
         rng = random.Random("%d:thm9:%s" % (cfg.seed, lam))
         test_polys = _roundtrip_family(ws, cfg, lam, rng)
         bell = ws.bell_polys(lam)
-        bell_pair = ws.pair("bell", lam)
+        bell_pair = ws.pair(umbral.bell_pair, lam)
         for m in cfg.m_values:
             dow = ws.dowling_polys(m, lam)
-            dow_pair = ws.pair("dowling", lam, m=m)
+            dow_pair = ws.pair(umbral.dowling_pair, m, lam)
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, m=m)
                 for p in test_polys[n]:
@@ -773,8 +730,8 @@ def check_thm10(ws: _Workspace, cfg: SuiteConfig):
             s1dm = ws.s1deg(Q(lam) / m)
             dow = ws.dowling_polys(m, lam)
             engine = umbral.connection_coefficients(
-                ws.pair("bernoulli", lam),
-                ws.pair("dowling", lam, m=m),
+                ws.pair(umbral.bernoulli_pair, lam),
+                ws.pair(umbral.dowling_pair, m, lam),
                 cfg.n_max,
             )
             closed = []
@@ -819,7 +776,9 @@ def check_thm11(ws: _Workspace, cfg: SuiteConfig):
             wd = ws.wdeg(m, lam)
             dow = ws.dowling_polys(m, lam)
             engine = umbral.connection_coefficients(
-                ws.pair("dowling", lam, m=m), ws.pair("bell", lam), cfg.n_max
+                ws.pair(umbral.dowling_pair, m, lam),
+                ws.pair(umbral.bell_pair, lam),
+                cfg.n_max,
             )
             closed = [
                 [
@@ -847,8 +806,8 @@ def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
             rescaled = ws.bell_polys(Q(lam) / m)
             dow = ws.dowling_polys(m, lam)
             engine = umbral.connection_coefficients(
-                ws.pair("rescaled_bell", lam, m=m),
-                ws.pair("dowling", lam, m=m),
+                ws.pair(umbral.rescaled_bell_pair, m, lam),
+                ws.pair(umbral.dowling_pair, m, lam),
                 cfg.n_max,
             )
             sub = PolyX((QZERO, Q(1, m)))
@@ -865,8 +824,7 @@ def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
                     _fail(point, PolyX(closed), PolyX(engine_row), "coefficients")
                     points.append(point)
                     continue
-                lhs = rescaled[n](sub)
-                lhs = lhs if isinstance(lhs, PolyX) else PolyX.constant(lhs)
+                lhs = as_poly(rescaled[n](sub))
                 acc = PolyX.zero()
                 for k in range(n + 1):
                     if closed[k]:

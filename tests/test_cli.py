@@ -101,6 +101,12 @@ def test_verify_all_small(capsys):
     assert "19/19 identities passed" in out
 
 
+def test_verify_all_at_n_max_zero(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--n-max", "0")
+    assert code == 0
+    assert "19/19 identities passed" in out
+
+
 def test_verify_json_deterministic(capsys):
     args = ("verify", "thm6", "--n-max", "3", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)

@@ -8,18 +8,23 @@ from degenpoly.families import (
     bell_polynomial,
     degenerate_bernoulli,
     degenerate_bernoulli2,
+    degenerate_bernoulli2_polys,
+    degenerate_bernoulli_polys,
     degenerate_dowling,
     degenerate_poly_bell,
+    degenerate_poly_bell_polys,
     degenerate_polyexp_series,
     dobinski_eval,
     dobinski_trace,
     dowling_polynomial,
+    falling_basis_rows,
     fully_degenerate_bell,
     fully_degenerate_dowling,
     partial_degenerate_bell,
 )
-from degenpoly.kernels import degenerate_exp, lambda_falling_eval
+from degenpoly.kernels import degenerate_exp, lambda_falling, lambda_falling_eval
 from degenpoly.rationals import Q, QONE, QZERO
+from degenpoly.triangles import degenerate_stirling2, degenerate_whitney2
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -59,6 +64,50 @@ def test_dowling_frozen():
     # leading coefficient of the fully deformed family is always 1
     for n in range(6):
         assert fully_degenerate_dowling(n, 2, lam).coeff(n) == 1
+
+
+def test_falling_basis_rows_match_per_degree_basis():
+    # each row against x (x - lam) .. (x - (k-1) lam) built from scratch
+    for lam in (Q(1, 2), Q(-2, 5), QZERO):
+        for tri in (degenerate_stirling2(7, lam), degenerate_whitney2(7, 2, lam)):
+            rows = falling_basis_rows(tri, lam)
+            assert len(rows) == 8
+            for n, got in enumerate(rows):
+                want = PolyX.zero()
+                for k in range(n + 1):
+                    want = want + tri[n, k] * lambda_falling(k, lam)
+                assert got == want
+        for n in range(8):
+            assert fully_degenerate_bell(n, lam) == falling_basis_rows(
+                degenerate_stirling2(7, lam), lam
+            )[n]
+            assert fully_degenerate_dowling(n, 3, lam) == falling_basis_rows(
+                degenerate_whitney2(7, 3, lam), lam
+            )[n]
+
+
+def test_sequence_constructors_match_single_degree():
+    for lam in (Q(1, 3), Q(-2, 5), QZERO):
+        seqs = [
+            (degenerate_bernoulli_polys(6, lam), lambda n: degenerate_bernoulli(n, lam)),
+            (degenerate_bernoulli2_polys(6, lam), lambda n: degenerate_bernoulli2(n, lam)),
+        ]
+        for k in (-1, 0, 1, 2):
+            seqs.append(
+                (
+                    degenerate_poly_bell_polys(6, k, lam),
+                    lambda n, k=k: degenerate_poly_bell(n, k, lam),
+                )
+            )
+        for polys, single in seqs:
+            assert len(polys) == 7
+            assert all(isinstance(p, PolyX) for p in polys)
+            assert polys == [single(n) for n in range(7)]
+    for build in (degenerate_bernoulli_polys, degenerate_bernoulli2_polys):
+        with pytest.raises(ValueError):
+            build(-1, Q(1, 2))
+    with pytest.raises(ValueError):
+        degenerate_poly_bell_polys(-1, 2, Q(1, 2))
 
 
 def test_dowling_classical_shift():

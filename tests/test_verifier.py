@@ -1,11 +1,15 @@
 """The identity checker itself: every tag passes on an honest grid, the
 reports are deterministic and certify correctly, and a corrupted input
-triangle is caught with a usable witness."""
+triangle or family is caught with a usable witness."""
+
+import hashlib
 
 import pytest
 
+import degenpoly.families as families
 import degenpoly.triangles as triangles
-from degenpoly.algebra import Triangle
+from degenpoly.algebra import PolyX, Triangle
+from degenpoly.cli import main
 from degenpoly.output import reports_to_json
 from degenpoly.rationals import Q
 from degenpoly.verifier import (
@@ -94,6 +98,22 @@ def test_reports_are_deterministic():
     assert reports_to_json(run_full_suite(cfg)) == reports_to_json(run_full_suite(cfg))
 
 
+def test_full_suite_report_bytes_are_pinned(capsys):
+    # sha256 of the stdout of `degenpoly verify all --n-max 3 --format json`
+    assert main(["verify", "all", "--n-max", "3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "540271f4b340e3896ecf290564a62a3a06b6223830dd0e6f6603fc7a9425cd03"
+    )
+
+
+def test_full_suite_at_n_max_zero():
+    reports = run_full_suite(SuiteConfig(n_max=0))
+    assert [r.identity for r in reports] == ALL_TAGS
+    assert all(r.passed for r in reports), [r.witness for r in reports]
+    assert all(p.n == 0 for r in reports for p in r.points if p.n is not None)
+
+
 def test_full_suite_order_and_size():
     reports = run_full_suite(SuiteConfig(n_max=2))
     assert [r.identity for r in reports] == ALL_TAGS
@@ -175,3 +195,39 @@ def test_explicit_lambda_sample_override():
     lams = {p.lam for p in report.points}
     assert lams == {Q(1, 2), Q(-1, 3)}
     assert report.passed
+
+
+def test_fault_injection_in_families_is_caught(monkeypatch):
+    bernoulli = families.degenerate_bernoulli_polys
+
+    def corrupted_bernoulli(n_max, lam):
+        polys = list(bernoulli(n_max, lam))
+        if n_max >= 2:
+            polys[2] = polys[2] + PolyX((0, Q(1, 3)))
+        return polys
+
+    monkeypatch.setattr(families, "degenerate_bernoulli_polys", corrupted_bernoulli)
+    for tag in ("THM5", "THM10", "POLYBELL_K1_IS_BERNOULLI"):
+        report = verify(tag, n_max=3)
+        assert not report.passed, tag
+        assert report.witness["n"] == 2, tag
+        assert report.witness["detail"], tag
+    monkeypatch.undo()
+
+    rows = families.falling_basis_rows
+
+    def corrupted_rows(tri, lam):
+        out = list(rows(tri, lam))
+        if len(out) > 3:
+            out[3] = out[3] + 1
+        return out
+
+    monkeypatch.setattr(families, "falling_basis_rows", corrupted_rows)
+    report = verify("LEMMA1", n_max=3)
+    assert not report.passed
+    assert report.witness["n"] == 3
+    assert report.witness["detail"]
+    monkeypatch.undo()
+
+    for tag in ("THM5", "THM10", "POLYBELL_K1_IS_BERNOULLI", "LEMMA1"):
+        assert verify(tag, n_max=3).passed, tag
