@@ -251,8 +251,8 @@ class PolyX:
             return self._c == other._c
         try:
             s = Q(other)
-        except TypeError:
-            return NotImplemented
+        except (TypeError, ValueError, ZeroDivisionError):
+            return NotImplemented  # not a number: unequal, never an error
         if not self._c:
             return not s
         return len(self._c) == 1 and self._c[0] == s
@@ -550,14 +550,64 @@ def to_lambda_falling_basis(p: PolyX, lam) -> list:
     return out
 
 
-def from_lambda_falling_basis(coeffs, lam) -> PolyX:
-    """Inverse of to_lambda_falling_basis: rebuild the polynomial."""
+def lambda_falling_table(lam, n_max: int) -> tuple:
+    """The generalized falling basis through degree n_max, on integers.
+
+    F(k, i) is the x^i coefficient of x (x - lam) .. (x - (k-1) lam).
+    The table comes as _integer_columns: column i holds the numerators
+    of F(i, i) .. F(n_max, i), all over q^n_max with lam = p/q, so a row
+    of falling-basis coordinates times it (_times_columns) is the same
+    polynomial in the monomial basis.
+    """
     lam = Q(lam)
-    x = PolyX.x()
-    acc = PolyX.zero()
-    for j in range(len(coeffs) - 1, -1, -1):
-        acc = acc * (x - j * lam) + coeffs[j]
-    return acc
+    p, q = lam.numerator, lam.denominator
+    rows = [[1]]  # row k: q^k times the degree-k basis polynomial
+    for k in range(n_max):
+        row = [0] * (k + 2)
+        for i, c in enumerate(rows[k]):
+            row[i] -= k * p * c
+            row[i + 1] += q * c
+        rows.append(row)
+    den = q**n_max
+    return tuple(
+        ([rows[k][i] * q ** (n_max - k) for k in range(i, n_max + 1)], den)
+        for i in range(n_max + 1)
+    )
+
+
+def from_lambda_falling_basis(coeffs, lam) -> PolyX:
+    """Inverse of to_lambda_falling_basis: coeffs times the falling table."""
+    coeffs = list(coeffs)
+    table = lambda_falling_table(lam, max(len(coeffs) - 1, 0))
+    return PolyX(_times_columns(coeffs, table))
+
+
+def _integer_row(values) -> tuple:
+    """Rationals as (integer numerators, their least common denominator)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_columns(tri: Triangle) -> tuple:
+    """Column k of a triangle as _integer_row of T(k, k) .. T(n_max, k)."""
+    n_max = tri.n_max
+    return tuple(
+        _integer_row([tri[n, k] for n in range(k, n_max + 1)])
+        for k in range(n_max + 1)
+    )
+
+
+def _times_columns(values, columns: tuple) -> list:
+    """Rational row vector times a lower-triangular array given by
+    _integer_columns; entry k is sum_{j >= k} values[j] T(j, k), and the
+    result is as long as values."""
+    nums, den = _integer_row(values)
+    out = []
+    for k in range(len(nums)):
+        col, col_den = columns[k]
+        s = sum(map(mul, nums[k:], col))
+        out.append(Q(s, den * col_den) if s else QZERO)
+    return out
 
 
 class Triangle:
@@ -594,8 +644,8 @@ class Triangle:
 
     def __getitem__(self, nk):
         n, k = nk
-        if k < 0:
-            raise IndexError("negative column")
+        if n < 0 or k < 0:
+            raise IndexError("negative index (%d, %d)" % (n, k))
         row = self._rows[n]
         return row[k] if k < len(row) else QZERO
 

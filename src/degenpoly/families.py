@@ -10,8 +10,8 @@ appear:
 * triangle sums (Bell and Dowling variants): the polynomial is a linear
   combination of monomials or generalized falling factorials with
   Stirling/Whitney triangle entries as weights.  ``falling_basis_rows``
-  reads every row of a triangle against the falling basis, building
-  each basis polynomial once;
+  reads every row of a triangle against the falling basis through one
+  integer table of the basis coefficients;
 * series products (Bernoulli variants and the polyexponential Bell
   family): the polynomials are the EGF coefficients of an explicit
   product of kernel series, with symbolic x carried in the coefficients,
@@ -31,7 +31,14 @@ from __future__ import annotations
 import math
 
 from . import kernels, triangles
-from .algebra import EgfSeries, PolyX, Triangle, as_poly
+from .algebra import (
+    EgfSeries,
+    PolyX,
+    Triangle,
+    _times_columns,
+    as_poly,
+    lambda_falling_table,
+)
 from .rationals import Q, QONE, QZERO, format_rational
 
 
@@ -43,22 +50,11 @@ def _check_n(n: int):
 def falling_basis_rows(tri: Triangle, lam) -> list:
     """Every row of tri against the generalized falling basis.
 
-    Entry n is sum_k T(n, k) x (x - lam) .. (x - (k-1) lam).  The basis
-    polynomials are built once, each from the one before.
+    Entry n is sum_k T(n, k) x (x - lam) .. (x - (k-1) lam): row n times
+    the integer falling table, built once for the whole triangle.
     """
-    lam = Q(lam)
-    x = PolyX.x()
-    basis = [PolyX.one()]
-    for k in range(tri.n_max):
-        basis.append(basis[-1] * (x - k * lam))
-    out = []
-    for row in tri.rows:
-        acc = PolyX.zero()
-        for c, b in zip(row, basis):
-            if c:
-                acc = acc + c * b
-        out.append(acc)
-    return out
+    table = lambda_falling_table(lam, tri.n_max)
+    return [PolyX(_times_columns(row, table)) for row in tri.rows]
 
 
 def fully_degenerate_bell(n: int, lam) -> PolyX:

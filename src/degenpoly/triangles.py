@@ -31,15 +31,23 @@ def column_power_triangle(n_max: int, base: EgfSeries, lead=None) -> Triangle:
     """The exponential Riordan array [lead, base]: T(n, k) = a[n] of
     lead * base^k / k! (lead defaults to 1).
 
-    base must have order >= 1 for the array to be lower triangular.  The
-    deformed Stirling and Whitney triangles here and the two arrays a
-    ShefferPair owns in the umbral module are all built by it.
+    The array must be lower triangular, which base of order >= 1
+    guarantees; an entry above the diagonal raises ValueError naming it.
+    The deformed Stirling and Whitney triangles here and every array of
+    the umbral module (a pair's Sheffer and probe arrays, connection
+    coefficients) are built by it.
     """
     col = EgfSeries.one(n_max) if lead is None else lead
     cols = [col]
     for _ in range(n_max):
         col = col * base
         cols.append(col)
+    for k, col in enumerate(cols):
+        for n in range(k):
+            if col.a[n]:
+                raise ValueError(
+                    "Riordan array not triangular at (n, k) = (%d, %d)" % (n, k)
+                )
     rows = []
     for n in range(n_max + 1):
         rows.append([cols[k].a[n] / factorial(k) for k in range(n + 1)])

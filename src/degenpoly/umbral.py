@@ -8,80 +8,51 @@ sequence s_n, characterized by
 
     <g f^k | s_n> = n! delta_{n,k}.
 
-Everything the pair determines is read off two exponential Riordan
-arrays, each built once per pair (lazily, by
-``triangles.column_power_triangle``) and cached on it:
+Every array here is an exponential Riordan array built by
+``triangles.column_power_triangle``.  A pair builds two of them once
+(lazily) and caches them:
 
 * the Sheffer array S = [1/g(fbar), fbar], fbar the compositional
   inverse of f.  Row n holds s_n in the falling basis, because the
   generating series of the sequence is (1/g(fbar)) e^x(fbar) and the
   deformed exponential e^x has the falling basis as its coefficients.
-  ``sheffer_generate`` reads its rows.
+  ``sheffer_generate`` reads its rows against the integer falling table
+  ``algebra.lambda_falling_table`` to get monomial coefficients.
 * the probe array P = [g, f], P(j, k) = (g f^k / k!).a[j], kept as
   integer numerators over one denominator per column.  A polynomial with
   falling-basis row q has coordinates q P against the sequence, so
   ``expand_in_basis`` is one integer matrix-vector product.
 
-Generation is certified: the falling-basis rows of the generated
-polynomials times P must be the identity.  S comes from fbar and P from
-g and f directly, so the check crosses two independent routes; an exact
-engine has no excuse not to make it.
+Generation is certified: expanding each generated polynomial against
+its own pair must give the unit vector.  S comes from fbar and P from
+g and f directly, and the expansion recomputes the falling-basis row
+from the monomial form, so the check crosses independent routes; an
+exact engine has no excuse not to make it.
 
 ``connection_coefficients`` changes coordinates between two sequences:
-column k is (g_target(fbar) / g_source(fbar)) f_target(fbar)^k / k!,
-with fbar and 1/g_source(fbar) taken from the source's cache.
+it is the array [g_target(fbar) / g_source(fbar), f_target(fbar)], with
+fbar and 1/g_source(fbar) taken from the source's cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from operator import mul
 
 from . import families, kernels
 from .algebra import (
     EgfSeries,
     PolyX,
     Triangle,
+    _integer_columns,
+    _times_columns,
     binomial_series,
     factorial,
+    lambda_falling_table,
     to_lambda_falling_basis,
 )
 from .rationals import Q, QONE, QZERO
 from .triangles import column_power_triangle
-
-
-def _integer_row(values) -> tuple:
-    """Rationals as (integer numerators, their least common denominator)."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _integer_columns(tri: Triangle) -> tuple:
-    """Column k of a triangle as _integer_row of T(k, k) .. T(n_max, k)."""
-    n_max = tri.n_max
-    return tuple(
-        _integer_row([tri[n, k] for n in range(k, n_max + 1)])
-        for k in range(n_max + 1)
-    )
-
-
-def _column_sums(nums: list, columns: tuple) -> list:
-    """Integer row vector times a lower-triangular array given by
-    _integer_columns, before the column denominators: entry k is
-    sum_{j >= k} nums[j] num_k[j - k], for k < len(nums)."""
-    return [sum(map(mul, nums[k:], columns[k][0])) for k in range(len(nums))]
-
-
-def _times_columns(values: list, columns: tuple) -> list:
-    """Rational row vector times a lower-triangular array given by
-    _integer_columns; the result is as long as values."""
-    nums, den = _integer_row(values)
-    return [
-        Q(s, den * columns[k][1]) if s else QZERO
-        for k, s in enumerate(_column_sums(nums, columns))
-    ]
 
 
 @dataclass(frozen=True)
@@ -137,26 +108,6 @@ class ShefferPair:
         denominator."""
         return _integer_columns(column_power_triangle(self.order_cap, self.f, self.g))
 
-    @cached_property
-    def falling_array(self) -> tuple:
-        """F(k, i), the x^i coefficient of x (x - lam) .. (x - (k-1) lam),
-        as _integer_columns: column i holds the numerators of
-        F(i, i) .. F(cap, i), all over q^cap with lam = p/q."""
-        p, q = self.lam.numerator, self.lam.denominator
-        cap = self.order_cap
-        rows = [[1]]  # row k: q^k times the degree-k basis polynomial
-        for k in range(cap):
-            row = [0] * (k + 2)
-            for i, c in enumerate(rows[k]):
-                row[i] -= k * p * c
-                row[i + 1] += q * c
-            rows.append(row)
-        den = q**cap
-        return tuple(
-            ([rows[k][i] * q ** (cap - k) for k in range(i, cap + 1)], den)
-            for i in range(cap + 1)
-        )
-
 
 def pair_functional(series: EgfSeries, p: PolyX, lam):
     """<series | p> at deformation lam: the dot product of the series
@@ -197,7 +148,7 @@ def sheffer_generate(pair: ShefferPair, n_max: int) -> list:
     """The first n_max + 1 polynomials owned by the pair.
 
     Row n of the pair's Sheffer array gives s_n in the falling basis,
-    and its product with the falling array gives the monomial form.  The
+    and its product with the falling table gives the monomial form.  The
     result is certified against the biorthogonality characterization and
     the degree grading; any violation is a bug in the pair's
     construction, so it raises.
@@ -205,29 +156,21 @@ def sheffer_generate(pair: ShefferPair, n_max: int) -> list:
     cap = pair.order_cap
     if n_max > cap:
         raise ValueError("pair cap %d cannot generate degree %d" % (cap, n_max))
+    table = lambda_falling_table(pair.lam, n_max)
     rows = pair.sheffer_array.rows[: n_max + 1]
-    polys = [PolyX(_times_columns(row, pair.falling_array)) for row in rows]
+    polys = [PolyX(_times_columns(row, table)) for row in rows]
     _assert_biorthogonal(pair, polys)
     return polys
 
 
 def _assert_biorthogonal(pair: ShefferPair, polys: list):
-    """<g f^k | s_n> / k! = delta_{n,k}: the falling-basis row of each
-    polynomial, recomputed from its monomial form, times the probe array.
-
-    Only k <= n is checked; P(j, k) vanishes for j < k by construction,
-    since f has order 1.
-    """
-    columns = pair.probe_array
+    """<g f^k | s_n> / k! = delta_{n,k}: each polynomial, expanded
+    against its own pair, is a unit vector of the right degree."""
     for n, p in enumerate(polys):
         if p.degree != n:
             raise AssertionError("generated polynomial %d has wrong degree" % n)
-        nums, den = _integer_row(to_lambda_falling_basis(p, pair.lam))
-        for k, s in enumerate(_column_sums(nums, columns)):
-            if s != (den * columns[k][1] if k == n else 0):
-                raise AssertionError(
-                    "biorthogonality failed at n=%d k=%d" % (n, k)
-                )
+        if expand_in_basis(p, pair) != [QZERO] * n + [QONE]:
+            raise AssertionError("biorthogonality failed at n=%d" % n)
 
 
 def connection_coefficients(
@@ -236,10 +179,9 @@ def connection_coefficients(
     """Coefficients rewriting the source sequence in the target sequence.
 
     Row n holds c_{n,0} .. c_{n,n} with source_n = sum_k c_{n,k}
-    target_k.  Column k is (g_target(fbar) / g_source(fbar))
-    f_target(fbar)^k / k! with fbar the source's cached inverse.  Entries
-    above the diagonal vanish by the order grading; that is asserted
-    rather than assumed.
+    target_k: the array [g_target(fbar) / g_source(fbar),
+    f_target(fbar)] with fbar the source's cached inverse.
+    column_power_triangle checks that it is triangular.
     """
     if source.lam != target.lam:
         raise ValueError("pairs live at different deformations")
@@ -249,23 +191,9 @@ def connection_coefficients(
     if n_max > cap:
         raise ValueError("pair cap %d cannot expand degree %d" % (cap, n_max))
     fbar = source.fbar
-    ratio = target.g.compose(fbar) * source.lead
-    inner = target.f.compose(fbar)
-    rows = [[] for _ in range(n_max + 1)]
-    col = ratio
-    for k in range(n_max + 1):
-        kfact = factorial(k)
-        for n in range(n_max + 1):
-            value = col.a[n] / kfact
-            if n < k:
-                if value:
-                    raise AssertionError(
-                        "connection matrix not triangular at (%d, %d)" % (n, k)
-                    )
-            elif k <= n:
-                rows[n].append(value)
-        col = col * inner
-    return Triangle(rows)
+    return column_power_triangle(
+        n_max, target.f.compose(fbar), target.g.compose(fbar) * source.lead
+    )
 
 
 def expand_in_basis(p: PolyX, target: ShefferPair) -> list:

@@ -93,7 +93,7 @@ _NUMERIC = frozenset({IdentityId.THM2_DOBINSKI})
 _DOBINSKI_GRID = (Q(1, 10), Q(1, 3), Q(1, 2))
 
 
-def lambda_degree_bound(identity, n: int, m: int | None = None) -> int:
+def lambda_degree_bound(identity, n: int) -> int:
     """Conservative bound on the lam-degree of the identity at size n.
 
     4n dominates every exact identity in the inventory (each side is a
@@ -506,7 +506,7 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
     return points
 
 
-def _expand_and_compare(point, ws, closed_rows, engine_tri, target_polys, expected, n):
+def _expand_and_compare(point, closed_rows, engine_tri, target_polys, expected, n):
     """Shared tail for the basis-expansion identities: closed-form row
     equals the engine row, and the reconstruction equals the expected
     polynomial."""
@@ -551,7 +551,7 @@ def check_thm5(ws: _Workspace, cfg: SuiteConfig):
             )
         for n in range(cfg.n_max + 1):
             point = PointResult(n=n, lam=lam)
-            _expand_and_compare(point, ws, closed, engine, bell, bern[n], n)
+            _expand_and_compare(point, closed, engine, bell, bern[n], n)
             points.append(point)
     return points
 
@@ -574,7 +574,7 @@ def check_thm6(ws: _Workspace, cfg: SuiteConfig):
         for n in range(cfg.n_max + 1):
             point = PointResult(n=n, lam=lam)
             _expand_and_compare(
-                point, ws, closed, engine, bell, ws.falling(n, lam), n
+                point, closed, engine, bell, ws.falling(n, lam), n
             )
             points.append(point)
     return points
@@ -613,7 +613,7 @@ def check_thm7(ws: _Workspace, cfg: SuiteConfig):
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, k=k_order)
                 _expand_and_compare(
-                    point, ws, closed, engine, bell, polys[n], n
+                    point, closed, engine, bell, polys[n], n
                 )
                 points.append(point)
     return points
@@ -666,7 +666,7 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
             closed.append(row)
         for n in range(cfg.n_max + 1):
             point = PointResult(n=n, lam=lam)
-            _expand_and_compare(point, ws, closed, engine, b2, bell[n], n)
+            _expand_and_compare(point, closed, engine, b2, bell[n], n)
             points.append(point)
     return points
 
@@ -760,7 +760,7 @@ def check_thm10(ws: _Workspace, cfg: SuiteConfig):
                 closed.append(row)
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, m=m)
-                _expand_and_compare(point, ws, closed, engine, dow, bern[n], n)
+                _expand_and_compare(point, closed, engine, dow, bern[n], n)
                 points.append(point)
     return points
 
@@ -792,7 +792,7 @@ def check_thm11(ws: _Workspace, cfg: SuiteConfig):
             ]
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, m=m)
-                _expand_and_compare(point, ws, closed, engine, bell, dow[n], n)
+                _expand_and_compare(point, closed, engine, bell, dow[n], n)
                 points.append(point)
     return points
 

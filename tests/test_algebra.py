@@ -214,6 +214,14 @@ def test_falling_basis_round_trip():
     assert to_lambda_falling_basis(p, QZERO) == list(p.coeffs)
 
 
+def test_polyx_equality_never_raises():
+    x = PolyX.x()
+    assert not x == "x"
+    assert x != "x"
+    assert not PolyX.one() == "1/0"
+    assert PolyX.one() != object()
+
+
 def test_triangle_container():
     tri = Triangle(((QONE,), (QZERO, QONE), (QZERO, QONE, QONE)))
     assert tri.n_max == 2
@@ -224,6 +232,8 @@ def test_triangle_container():
         tri[3, 0]
     with pytest.raises(IndexError):
         tri[0, -1]
+    with pytest.raises(IndexError):
+        Triangle([[1], [2, 3]])[-1, 0]  # no wrap-around to the last row
     with pytest.raises(ValueError):
         Triangle(((QONE,), (QZERO,)))  # ragged row lengths
     with pytest.raises(ValueError):

@@ -3,8 +3,10 @@ two-term recurrences, inversion, and the enumeration guard rails."""
 
 import pytest
 
+from degenpoly.algebra import EgfSeries
 from degenpoly.rationals import Q, QONE, QZERO
 from degenpoly.triangles import (
+    column_power_triangle,
     count_partitions,
     degenerate_stirling1,
     degenerate_stirling2,
@@ -204,3 +206,15 @@ def test_enumeration_guard_rails():
         degenerate_whitney2(4, 0, Q(1, 2))
     with pytest.raises(ValueError):
         stirling1(-1)
+
+
+def test_column_power_triangle_refuses_a_non_triangular_array():
+    # a base of order 0 puts nonzero entries above the diagonal
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(0, 1\)"):
+        column_power_triangle(3, EgfSeries.one(3))
+    # a lead of positive order against a constant base: column 1 is fine
+    # at n_max 1, but column 2 has a[1] != 0 above the diagonal
+    t = EgfSeries.t(2)
+    assert column_power_triangle(1, EgfSeries.one(2), t).rows == ((0,), (1, 1))
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(1, 2\)"):
+        column_power_triangle(2, EgfSeries.one(2), t)

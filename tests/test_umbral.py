@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import degenpoly.umbral as umbral
 from degenpoly.algebra import EgfSeries, PolyX, Triangle, to_lambda_falling_basis
 from degenpoly.families import (
     degenerate_bernoulli,
@@ -351,7 +352,7 @@ def _corrupted(values, i):
     return values
 
 
-def test_generation_certificate_catches_a_corrupted_array():
+def test_generation_certificate_catches_a_corrupted_array(monkeypatch):
     lam, cap = Q(2, 5), 4
     reference = sheffer_generate(bernoulli2_pair(lam, cap), cap)
     # every entry of the Sheffer array
@@ -363,16 +364,30 @@ def test_generation_certificate_catches_a_corrupted_array():
             pair.__dict__["sheffer_array"] = Triangle(rows)
             with pytest.raises(AssertionError):
                 sheffer_generate(pair, cap)
-    # every numerator of the probe and falling arrays
-    for name in ("probe_array", "falling_array"):
-        for k in range(cap + 1):
-            for j in range(cap + 1 - k):
-                pair = bernoulli2_pair(lam, cap)
-                cols = list(getattr(pair, name))
+    # every numerator of the probe array
+    for k in range(cap + 1):
+        for j in range(cap + 1 - k):
+            pair = bernoulli2_pair(lam, cap)
+            cols = list(pair.probe_array)
+            nums, den = cols[k]
+            cols[k] = (_corrupted(nums, j), den)
+            pair.__dict__["probe_array"] = tuple(cols)
+            with pytest.raises(AssertionError):
+                sheffer_generate(pair, cap)
+    # every numerator of the falling table
+    table = umbral.lambda_falling_table
+    for k in range(cap + 1):
+        for j in range(cap + 1 - k):
+
+            def corrupted_table(lam, n_max, k=k, j=j):
+                cols = list(table(lam, n_max))
                 nums, den = cols[k]
                 cols[k] = (_corrupted(nums, j), den)
-                pair.__dict__[name] = tuple(cols)
-                with pytest.raises(AssertionError):
-                    sheffer_generate(pair, cap)
+                return tuple(cols)
+
+            monkeypatch.setattr(umbral, "lambda_falling_table", corrupted_table)
+            with pytest.raises(AssertionError):
+                sheffer_generate(bernoulli2_pair(lam, cap), cap)
+    monkeypatch.undo()
     # a fresh pair is unaffected
     assert sheffer_generate(bernoulli2_pair(lam, cap), cap) == reference

@@ -229,5 +229,22 @@ def test_fault_injection_in_families_is_caught(monkeypatch):
     assert report.witness["detail"]
     monkeypatch.undo()
 
-    for tag in ("THM5", "THM10", "POLYBELL_K1_IS_BERNOULLI", "LEMMA1"):
+    table = families.lambda_falling_table
+
+    def corrupted_table(lam, n_max):
+        cols = list(table(lam, n_max))
+        if n_max >= 2:
+            nums, den = cols[1]  # F(1, 1) .. F(n_max, 1)
+            cols[1] = ([nums[0], nums[1] + 1, *nums[2:]], den)  # F(2, 1)
+        return tuple(cols)
+
+    monkeypatch.setattr(families, "lambda_falling_table", corrupted_table)
+    for tag in ("LEMMA1", "THM6"):
+        report = verify(tag, n_max=3)
+        assert not report.passed, tag
+        assert report.witness["n"] == 2, tag
+        assert report.witness["detail"], tag
+    monkeypatch.undo()
+
+    for tag in ("THM5", "THM10", "POLYBELL_K1_IS_BERNOULLI", "LEMMA1", "THM6"):
         assert verify(tag, n_max=3).passed, tag
