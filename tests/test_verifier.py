@@ -8,7 +8,8 @@ import pytest
 
 import degenpoly.families as families
 import degenpoly.triangles as triangles
-from degenpoly.algebra import PolyX, Triangle
+import degenpoly.umbral as umbral
+from degenpoly.algebra import EgfSeries, PolyX, Triangle
 from degenpoly.cli import main
 from degenpoly.output import reports_to_json
 from degenpoly.rationals import Q
@@ -248,3 +249,41 @@ def test_fault_injection_in_families_is_caught(monkeypatch):
 
     for tag in ("THM5", "THM10", "POLYBELL_K1_IS_BERNOULLI", "LEMMA1", "THM6"):
         assert verify(tag, n_max=3).passed, tag
+
+
+# Each umbral pair constructor, and the identities whose engine side reads
+# the pair it builds.  A fault in either series of a pair must fail every
+# one of them.
+_PAIR_CONSUMERS = {
+    "falling_pair": ("THM6",),
+    "bell_pair": ("THM5", "THM6", "THM7", "THM8", "THM9_ROUNDTRIP", "THM11"),
+    "bernoulli_pair": ("THM5", "THM10"),
+    "bernoulli2_pair": ("THM8",),
+    "poly_bell_pair": ("THM7",),
+    "dowling_pair": ("THM9_ROUNDTRIP", "THM10", "THM11", "EQ56_CLOSING"),
+    "rescaled_bell_pair": ("EQ56_CLOSING",),
+}
+
+
+@pytest.mark.parametrize("series", ["g", "f"])
+@pytest.mark.parametrize("ctor", sorted(_PAIR_CONSUMERS))
+def test_pair_fault_matrix(monkeypatch, ctor, series):
+    original = getattr(umbral, ctor)
+
+    def faulted(*args):
+        pair = original(*args)
+        parts = {"g": pair.g, "f": pair.f}
+        a = list(parts[series].a)
+        a[3] = a[3] + 1
+        parts[series] = EgfSeries(pair.order_cap, a)
+        return umbral.ShefferPair(parts["g"], parts["f"], pair.lam)
+
+    monkeypatch.setattr(umbral, ctor, faulted)
+    samples = (Q(1, 7), Q(-1, 3))
+    failed = set()
+    for tag in _PAIR_CONSUMERS[ctor]:
+        report = verify(tag, n_max=3, lambda_samples=samples)
+        if not report.passed:
+            assert report.witness["detail"], tag
+            failed.add(tag)
+    assert failed == set(_PAIR_CONSUMERS[ctor])
