@@ -175,6 +175,8 @@ class PolyX:
             for i, v in enumerate(b):
                 c[i] = c[i] + v
             return self._normalized(c)
+        if isinstance(other, str):
+            return NotImplemented
         try:
             s = Q(other)
         except TypeError:
@@ -191,10 +193,13 @@ class PolyX:
         return PolyX._raw(tuple(-v for v in self._c))
 
     def __sub__(self, other):
-        out = self + (-other if isinstance(other, PolyX) else -Q(other))
-        return out
+        if isinstance(other, str):
+            return NotImplemented
+        return self + (-other if isinstance(other, PolyX) else -Q(other))
 
     def __rsub__(self, other):
+        if isinstance(other, str):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -209,6 +214,8 @@ class PolyX:
                         if bv:
                             c[i + j] = c[i + j] + av * bv
             return self._normalized(c)
+        if isinstance(other, str):
+            return NotImplemented
         try:
             s = Q(other)
         except TypeError:

@@ -22,8 +22,9 @@ computed here; the verifier recomputes those polynomials through series
 composition precisely so the two routes stay independent.
 
 ``dobinski_eval`` is the package's single floating-point surface: the
-series summation itself is exact, floats appear only in the final
-conversion and in the transcendental prefactor.
+series is summed exactly, on integers over one running denominator, and
+floats appear only in the conversion of a partial sum and in the
+transcendental prefactor.
 """
 
 from __future__ import annotations
@@ -171,22 +172,29 @@ def degenerate_poly_bell(n: int, k: int, lam) -> PolyX:
 
 
 def _dobinski_terms(n: int, lam, x, count: int):
-    """Exact partial sums of the Dobinski-style series, yielded per term."""
-    inv = QONE / (QONE - lam)
-    acc = QZERO
-    xfall = QONE  # generalized falling factorial of x, degree k
-    invpow = QONE
-    kfact = QONE
+    """Exact partial sums of the Dobinski-style series, yielded per term
+    as (k, num, den): the sum through term k is num/den, unreduced.
+
+    With lam = p/q and x = a/b the k-th term is
+    prod_{j<n} (kq - jp) prod_{i<k} (aq - ipb) / (q^n k! s^k) with
+    s = (q - p) b, so the sums share the running denominator
+    D_k = D_{k-1} k s and N_k = N_{k-1} k s + the term's numerator.
+    """
+    p, q = int(lam.numerator), int(lam.denominator)
+    a, b = int(x.numerator), int(x.denominator)
+    s = (q - p) * b
+    num, den = 0, q**n
+    xfall = 1  # generalized falling factorial of x, degree k, times (qb)^k
     for k in range(count + 1):
         if k:
-            xfall = xfall * (x - (k - 1) * lam)
-            invpow = invpow * inv
-            kfact = kfact * k
-        kfall = QONE  # generalized falling factorial of k, degree n
+            xfall *= a * q - (k - 1) * p * b
+            num *= k * s
+            den *= k * s
+        kfall = 1  # generalized falling factorial of k, degree n, times q^n
         for j in range(n):
-            kfall = kfall * (k - j * lam)
-        acc = acc + kfall / kfact * invpow * xfall
-        yield k, acc
+            kfall *= k * q - j * p
+        num += kfall * xfall
+        yield k, num, den
 
 
 def _checked_float(compute, what: str, lam, x, terms: int) -> float:
@@ -248,18 +256,18 @@ def dobinski_eval(n: int, lam, x, terms: int = 200):
     """Truncated Dobinski-style numeric value and its exact reference.
 
     Returns (approximation, reference) as floats.  The partial sum is
-    accumulated exactly and floated once; the prefactor (1 - lam)^(x/lam)
+    kept on integers over one running denominator and converted once, a
+    correctly rounded integer division; the prefactor (1 - lam)^(x/lam)
     is evaluated in floating point.  The series converges for
     0 < lam < 1/2, and terminates for x/lam a nonnegative integer with
     0 < lam < 1; anything else raises ValueError, as does a value too
     large for a float.
     """
     lam, x, prefactor = _dobinski_args(n, lam, x, terms)
-    acc = QZERO
-    for _, acc in _dobinski_terms(n, lam, x, terms):
+    for _, num, den in _dobinski_terms(n, lam, x, terms):
         pass
     approx = _checked_float(
-        lambda: prefactor * float(acc), "partial sum", lam, x, terms
+        lambda: prefactor * (num / den), "partial sum", lam, x, terms
     )
     _check_convergent(lam, x)
     reference = _checked_float(
@@ -269,16 +277,16 @@ def dobinski_eval(n: int, lam, x, terms: int = 200):
 
 
 def dobinski_trace(n: int, lam, x, terms: int = 200) -> dict:
-    """Convergence trace: floated partial sums at ten checkpoints plus
-    the exact reference and final relative error.  Same domain as
-    dobinski_eval."""
+    """Convergence trace: the integer partial sums of dobinski_eval, each
+    converted on its own, at ten checkpoints, plus the exact reference
+    and final relative error.  Same domain as dobinski_eval."""
     lam, x, prefactor = _dobinski_args(n, lam, x, terms)
     step = max(1, terms // 10)
     checkpoints = []
     final = 0.0
-    for k, acc in _dobinski_terms(n, lam, x, terms):
+    for k, num, den in _dobinski_terms(n, lam, x, terms):
         value = _checked_float(
-            lambda: prefactor * float(acc), "partial sum", lam, x, terms
+            lambda: prefactor * (num / den), "partial sum", lam, x, terms
         )
         if k == terms or (k and k % step == 0):
             checkpoints.append((k, value))

@@ -30,8 +30,8 @@ from the monomial form, so the check crosses independent routes; an
 exact engine has no excuse not to make it.
 
 ``connection_coefficients`` changes coordinates between two sequences:
-it is the array [g_target(fbar) / g_source(fbar), f_target(fbar)], with
-fbar and 1/g_source(fbar) taken from the source's cache.
+row n of the source's Sheffer array times the target's probe array, the
+Riordan-group product S P of the two cached arrays.
 """
 
 from __future__ import annotations
@@ -86,20 +86,12 @@ class ShefferPair:
         return self.g.order_cap
 
     @cached_property
-    def fbar(self) -> EgfSeries:
-        """The compositional inverse of f."""
-        return self.f.comp_inverse()
-
-    @cached_property
-    def lead(self) -> EgfSeries:
-        """1/g(fbar), the first column of the Sheffer array."""
-        return self.g.compose(self.fbar).reciprocal()
-
-    @cached_property
     def sheffer_array(self) -> Triangle:
-        """S(n, k) = (lead fbar^k / k!).a[n]: row n is s_n in the
-        generalized falling basis."""
-        return column_power_triangle(self.order_cap, self.fbar, self.lead)
+        """S(n, k) = (fbar^k / (k! g(fbar))).a[n], fbar the compositional
+        inverse of f: row n is s_n in the generalized falling basis."""
+        fbar = self.f.comp_inverse()
+        lead = self.g.compose(fbar).reciprocal()
+        return column_power_triangle(self.order_cap, fbar, lead)
 
     @cached_property
     def probe_array(self) -> tuple:
@@ -179,9 +171,10 @@ def connection_coefficients(
     """Coefficients rewriting the source sequence in the target sequence.
 
     Row n holds c_{n,0} .. c_{n,n} with source_n = sum_k c_{n,k}
-    target_k: the array [g_target(fbar) / g_source(fbar),
-    f_target(fbar)] with fbar the source's cached inverse.
-    column_power_triangle checks that it is triangular.
+    target_k.  Row n is row n of the source's Sheffer array (source_n in
+    the falling basis) times the target's probe array: the expansion of
+    source_n that expand_in_basis would make, read off the two pairs'
+    cached arrays.
     """
     if source.lam != target.lam:
         raise ValueError("pairs live at different deformations")
@@ -190,10 +183,8 @@ def connection_coefficients(
         raise ValueError("pairs must share a truncation cap")
     if n_max > cap:
         raise ValueError("pair cap %d cannot expand degree %d" % (cap, n_max))
-    fbar = source.fbar
-    return column_power_triangle(
-        n_max, target.f.compose(fbar), target.g.compose(fbar) * source.lead
-    )
+    rows = source.sheffer_array.rows[: n_max + 1]
+    return Triangle([_times_columns(row, target.probe_array) for row in rows])
 
 
 def expand_in_basis(p: PolyX, target: ShefferPair) -> list:

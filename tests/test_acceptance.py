@@ -5,6 +5,7 @@ budgets and prints a single status line (run with -s to see the lines
 on a passing suite).
 """
 
+import hashlib
 import random
 import time
 
@@ -18,6 +19,7 @@ from degenpoly.families import (
     fully_degenerate_dowling,
 )
 from degenpoly.kernels import degenerate_exp
+from degenpoly.output import reports_to_json
 from degenpoly.rationals import Q, QONE, QZERO
 from degenpoly.triangles import (
     count_partitions,
@@ -122,6 +124,11 @@ def test_acceptance_4_full_verification_suite():
     ok = ok and all(r.certified_polynomial_in_lambda for r in exact)
     ok = ok and len(reports) == 19
     announce(4, "full suite at size 8, every exact identity certified", ok, t0, 60)
+    # the same bytes as the stdout of `degenpoly verify all --format json`
+    out = reports_to_json(reports) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d31f69636f8699e76dd5618f98227c98e75b1ab130a0e646c31a89d91bc568b5"
+    )
 
 
 def test_acceptance_5_numeric_series():

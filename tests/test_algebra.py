@@ -222,6 +222,25 @@ def test_polyx_equality_never_raises():
     assert PolyX.one() != object()
 
 
+def test_polyx_arithmetic_refuses_strings():
+    x = PolyX.x()
+    for text in ("1/2", "x"):
+        for op in (
+            lambda: x + text,
+            lambda: text + x,
+            lambda: x - text,
+            lambda: text - x,
+            lambda: x * text,
+            lambda: text * x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    # numbers still mix with polynomials from either side
+    assert x + Q(1, 2) == Q(1, 2) + x == PolyX((Q(1, 2), 1))
+    assert x - 1 == -(1 - x) == PolyX((-1, 1))
+    assert 3 * x == x * 3 == PolyX((0, 3))
+
+
 def test_triangle_container():
     tri = Triangle(((QONE,), (QZERO, QONE), (QZERO, QONE, QONE)))
     assert tri.n_max == 2

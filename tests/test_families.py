@@ -1,8 +1,11 @@
 """Polynomial families: frozen small cases, classical limits, the dual
 construction routes, and the numeric series evaluation."""
 
+from fractions import Fraction
+
 import pytest
 
+import degenpoly.families as families
 from degenpoly.algebra import PolyX
 from degenpoly.families import (
     bell_polynomial,
@@ -248,3 +251,53 @@ def test_dobinski_refuses_divergent_series():
         approx, reference = dobinski_eval(2, lam, x, 400)
         denom = abs(reference) if reference else 1.0
         assert abs(approx - reference) / denom < 1e-8
+
+
+def _fraction_dobinski(n, lam, x, count):
+    """Partial sums of the Dobinski-style series, term by term in
+    Fraction: the route the integer sums replaced."""
+    inv = 1 / (1 - lam)
+    acc = Fraction(0)
+    xfall = invpow = kfact = Fraction(1)
+    for k in range(count + 1):
+        if k:
+            xfall *= x - (k - 1) * lam
+            invpow *= inv
+            kfact *= k
+        kfall = Fraction(1)
+        for j in range(n):
+            kfall *= k - j * lam
+        acc += kfall / kfact * invpow * xfall
+        yield k, acc
+
+
+def test_dobinski_integer_sums_match_the_fraction_loop():
+    terms, step = 120, 12
+    for lam in (Fraction(1, 10), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
+                Fraction(1, 2)):
+        for x in (Fraction(1), Fraction(2, 9), Fraction(7, 3), Fraction(-1, 2)):
+            ratio = x / lam
+            converges = lam < Fraction(1, 2) or (ratio >= 0 and ratio.denominator == 1)
+            qlam, qx = Q(lam.numerator, lam.denominator), Q(x.numerator, x.denominator)
+            for n in range(7):
+                sums = []
+                exact = families._dobinski_terms(n, qlam, qx, terms)
+                for (k, num, den), (k0, acc) in zip(exact, _fraction_dobinski(n, lam, x, terms)):
+                    assert k == k0 and Fraction(num, den) == acc
+                    sums.append(float(acc))
+                assert len(sums) == terms + 1
+                if not converges:
+                    with pytest.raises(ValueError, match="diverges"):
+                        dobinski_eval(n, qlam, qx, terms)
+                    with pytest.raises(ValueError, match="diverges"):
+                        dobinski_trace(n, qlam, qx, terms)
+                    continue
+                _, _, prefactor = families._dobinski_args(n, qlam, qx, terms)
+                values = [(prefactor * v).hex() for v in sums]
+                approx, _ = dobinski_eval(n, qlam, qx, terms)
+                assert approx.hex() == values[-1]
+                trace = dobinski_trace(n, qlam, qx, terms)
+                assert [(k, v.hex()) for k, v in trace["checkpoints"]] == [
+                    (k, values[k]) for k in range(step, terms + 1, step)
+                ]
+                assert trace["final"].hex() == values[-1]

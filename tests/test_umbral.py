@@ -16,7 +16,12 @@ from degenpoly.families import (
 )
 from degenpoly.kernels import degenerate_exp, lambda_falling
 from degenpoly.rationals import Q, QONE, QZERO
-from degenpoly.triangles import degenerate_stirling1, degenerate_stirling2, degenerate_whitney2
+from degenpoly.triangles import (
+    column_power_triangle,
+    degenerate_stirling1,
+    degenerate_stirling2,
+    degenerate_whitney2,
+)
 from degenpoly.umbral import (
     ShefferPair,
     apply_lambda_diff_op,
@@ -305,6 +310,51 @@ def test_cached_arrays_match_per_call_routes_on_random_pairs():
             p = _random_poly(rng, degree)
             assert expand_in_basis(p, pair) == _reference_expand(p, pair)
     assert expand_in_basis(PolyX.zero(), pair) == []
+
+
+def _reference_connection(source, target, n_max):
+    """The compose route: the array [g_t(fbar) / g_s(fbar), f_t(fbar)],
+    fbar the source's compositional inverse, built column by column."""
+    fbar = source.f.comp_inverse()
+    lead = source.g.compose(fbar).reciprocal()
+    return column_power_triangle(
+        n_max, target.f.compose(fbar), target.g.compose(fbar) * lead
+    )
+
+
+def test_connection_matches_the_compose_route():
+    for cap in (1, 4, 8):
+        for lam in (Q(1, 3), Q(-2, 5), QZERO, Q(5, 4)):
+            pairs = _standard_pairs(lam, cap)
+            for source in pairs:
+                for target in pairs:
+                    got = connection_coefficients(source, target, cap)
+                    want = _reference_connection(source, target, cap)
+                    assert got.rows == want.rows
+                    short = connection_coefficients(source, target, cap // 2)
+                    assert short.rows == got.rows[: cap // 2 + 1]
+
+
+def test_connection_reads_only_the_cached_arrays(monkeypatch):
+    lam, cap = Q(-2, 7), 8
+    source, target = dowling_pair(2, lam, cap), bell_pair(lam, cap)
+    source.sheffer_array, target.probe_array  # built on first use
+    fresh = bell_pair(lam, cap)
+    calls = []
+    for name in ("compose", "__mul__", "comp_inverse", "reciprocal"):
+
+        def counting(self, *args, _original=getattr(EgfSeries, name), _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(EgfSeries, name, counting)
+    tri = connection_coefficients(source, target, cap)
+    assert not calls
+    assert tri.rows == connection_coefficients(source, target, cap).rows
+    assert not calls
+    # a target whose probe array is not built yet builds it: g f^k
+    connection_coefficients(source, fresh, cap)
+    assert set(calls) == {"__mul__"}
 
 
 def test_pair_needs_cap_one_for_order_one():

@@ -11,6 +11,7 @@ import degenpoly.triangles as triangles
 import degenpoly.umbral as umbral
 from degenpoly.algebra import EgfSeries, PolyX, Triangle
 from degenpoly.cli import main
+from degenpoly.kernels import lambda_falling
 from degenpoly.output import reports_to_json
 from degenpoly.rationals import Q
 from degenpoly.verifier import (
@@ -287,3 +288,25 @@ def test_pair_fault_matrix(monkeypatch, ctor, series):
             assert report.witness["detail"], tag
             failed.add(tag)
     assert failed == set(_PAIR_CONSUMERS[ctor])
+
+
+def test_thm9_draws_its_random_polynomials_once_per_run(monkeypatch):
+    expand = umbral.expand_in_basis
+    seen = {}
+
+    def recording(p, pair):
+        seen.setdefault(pair.lam, set()).add(p)
+        return expand(p, pair)
+
+    monkeypatch.setattr(umbral, "expand_in_basis", recording)
+    samples = (Q(1, 7), Q(-1, 3), Q(2, 5))
+    assert verify("THM9_ROUNDTRIP", n_max=3, lambda_samples=samples).passed
+    assert set(seen) == set(samples)
+    randoms = []
+    for lam, polys in seen.items():
+        fixed = {lambda_falling(n, lam) for n in range(4)}
+        fixed |= {PolyX.monomial(n) for n in range(4)}
+        assert fixed <= polys
+        randoms.append(polys - fixed)
+    assert randoms[0]
+    assert all(r == randoms[0] for r in randoms)
