@@ -27,6 +27,13 @@ Horner evaluation of sum_k f.a[k]/k! g^k in the truncated ring (exact
 because the inner series has positive order), and the compositional
 inverse comes from Lagrange inversion, (f^-1).a[n] = ((t/f)^n).a[n - 1],
 so it costs cap - 1 products and no composition.
+
+The change of basis into the generalized falling basis x (x - lam) ..
+(x - (n-1) lam) runs on integers too.  With lam = a/b the substitution
+y = b x makes every node j a an integer, so the cascade of synthetic
+divisions that yields the falling coordinates is integer arithmetic over
+one denominator known in advance; the way back multiplies by the integer
+falling table.
 """
 
 from __future__ import annotations
@@ -227,6 +234,8 @@ class PolyX:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
+        if isinstance(scalar, str):
+            return NotImplemented
         s = Q(scalar)
         return PolyX._raw(tuple(v / s for v in self._c))
 
@@ -533,28 +542,45 @@ def binomial_series(alpha, c, order_cap: int) -> EgfSeries:
 def to_lambda_falling_basis(p: PolyX, lam) -> list:
     """Coefficients of p in the generalized falling-factorial basis.
 
-    The basis polynomial of degree n is x (x - lam) ... (x - (n-1) lam);
-    coefficients come out of a cascade of synthetic divisions by the
-    linear factors (x - j lam), so no basis polynomial is ever expanded.
-    Returns a list of scalars of length deg(p) + 1 (empty for the zero
-    polynomial).
+    The basis polynomial of degree n is x (x - lam) ... (x - (n-1) lam).
+    The coefficients come out of a cascade of synthetic divisions, run on
+    integers after the substitution y = b x (lam = a/b), where the nodes
+    j a are integers (_falling_numerators); no basis polynomial is ever
+    expanded.  Returns a list of reduced rationals of length deg(p) + 1
+    (empty for the zero polynomial).
     """
+    nums, den = _falling_numerators(p, lam)
+    return [Q(s, den) if s else QZERO for s in nums]
+
+
+def _falling_numerators(p: PolyX, lam) -> tuple:
+    """p in the generalized falling basis as (integer numerators, one
+    denominator).
+
+    With lam = a/b and x = y/b, the degree-k basis polynomial is b^-k
+    times y (y - a) .. (y - (k-1) a).  The integer polynomial
+    P(y) = den b^n p(y/b), den from _integer_row and n = deg(p), is
+    divided by y - j a for j = 0, 1, .. in turn; remainder k is the
+    coordinate B_k of P in the integer-node basis, so p's coordinate k is
+    B_k b^k / (den b^n).
+    """
+    if not p.coeffs:
+        return [], 1
     lam = Q(lam)
-    cur = list(p.coeffs)
-    out = []
-    j = 0
-    while cur:
-        node = j * lam
-        deg = len(cur) - 1
-        quot = [QZERO] * deg
-        acc = cur[deg]
-        for i in range(deg - 1, -1, -1):
-            quot[i] = acc
-            acc = cur[i] + node * acc
-        out.append(acc)
-        cur = quot
-        j += 1
-    return out
+    a, b = lam.numerator, lam.denominator
+    nums, den = _integer_row(p.coeffs)
+    n = len(nums) - 1
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * b)
+    c = [v * powers[n - i] for i, v in enumerate(nums)]
+    # Division j by y - j a, in place: c[j] becomes its remainder and
+    # c[j + 1:] its quotient.  Division 0, by y, changes nothing.
+    for j in range(1, n):
+        node = j * a
+        for i in range(n - 1, j - 1, -1):
+            c[i] += node * c[i + 1]
+    return [v * powers[k] for k, v in enumerate(c)], den * powers[n]
 
 
 def lambda_falling_table(lam, n_max: int) -> tuple:
@@ -608,7 +634,12 @@ def _times_columns(values, columns: tuple) -> list:
     """Rational row vector times a lower-triangular array given by
     _integer_columns; entry k is sum_{j >= k} values[j] T(j, k), and the
     result is as long as values."""
-    nums, den = _integer_row(values)
+    return _integer_times_columns(*_integer_row(values), columns)
+
+
+def _integer_times_columns(nums, den, columns: tuple) -> list:
+    """_times_columns for a row already given as integer numerators over
+    one denominator: each entry is built once as a reduced rational."""
     out = []
     for k in range(len(nums)):
         col, col_den = columns[k]

@@ -21,7 +21,11 @@ Every array here is an exponential Riordan array built by
 * the probe array P = [g, f], P(j, k) = (g f^k / k!).a[j], kept as
   integer numerators over one denominator per column.  A polynomial with
   falling-basis row q has coordinates q P against the sequence, so
-  ``expand_in_basis`` is one integer matrix-vector product.
+  ``expand_in_basis`` is one integer matrix-vector product, fed by the
+  integer synthetic division ``algebra._falling_numerators``.
+
+The way back, ``combine_basis``, is one integer linear combination of the
+basis polynomials' numerator rows.
 
 Generation is certified: expanding each generated polynomial against
 its own pair must give the unit vector.  S comes from fbar and P from
@@ -38,16 +42,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm, perm
 
 from . import families, kernels
 from .algebra import (
     EgfSeries,
     PolyX,
     Triangle,
+    _falling_numerators,
     _integer_columns,
+    _integer_row,
+    _integer_times_columns,
     _times_columns,
     binomial_series,
-    factorial,
+    from_lambda_falling_basis,
     lambda_falling_table,
     to_lambda_falling_basis,
 )
@@ -118,22 +126,20 @@ def pair_functional(series: EgfSeries, p: PolyX, lam):
 
 
 def apply_lambda_diff_op(k: int, p: PolyX, lam) -> PolyX:
-    """Action of the k-th deformed differential operator on p.
+    """t^k p, t the deformed differential operator.
 
-    On the generalized falling basis the operator sends the degree-n
-    basis polynomial to (n)_k x^(n-k) (a plain monomial with a classical
-    falling-number weight) and kills degrees below k; the result is
-    returned in the monomial basis.
+    t lowers the generalized falling basis as d/dx lowers powers:
+    t^k (x)_{n,lam} = (n)_k (x)_{n-k,lam}, with (n)_k the classical
+    falling number, and t^k kills degrees below k.  The falling
+    coordinates of p are shifted down by k, weighted, and read back in the
+    monomial basis.  At lam = 0, t is d/dx.
     """
     if k < 0:
         raise ValueError("operator order must be >= 0")
     q = to_lambda_falling_basis(p, lam)
-    out = [QZERO] * max(len(q) - k, 0)
-    for n in range(k, len(q)):
-        if q[n]:
-            fall = factorial(n) / factorial(n - k)
-            out[n - k] = out[n - k] + q[n] * fall
-    return PolyX(out)
+    return from_lambda_falling_basis(
+        [q[n] * perm(n, k) for n in range(k, len(q))], lam
+    )
 
 
 def sheffer_generate(pair: ShefferPair, n_max: int) -> list:
@@ -192,29 +198,48 @@ def expand_in_basis(p: PolyX, target: ShefferPair) -> list:
 
     Returns C_0 .. C_deg(p) with p = sum_k C_k target_k: the row of p in
     the falling basis times the target's probe array, so C_k is the
-    pairing of g f^k against p scaled by 1/k!.
+    pairing of g f^k against p scaled by 1/k!.  The row stays integer
+    numerators over one denominator (_falling_numerators) until each C_k
+    is built once.
     """
     if p.degree > target.order_cap:
         raise ValueError(
             "pair cap %d cannot expand degree %d"
             % (target.order_cap, p.degree)
         )
-    return _times_columns(to_lambda_falling_basis(p, target.lam), target.probe_array)
+    nums, den = _falling_numerators(p, target.lam)
+    return _integer_times_columns(nums, den, target.probe_array)
 
 
 def combine_basis(coeffs, polys) -> PolyX:
-    """sum_k coeffs[k] polys[k] as a PolyX."""
+    """sum_k coeffs[k] polys[k] as a PolyX; the coefficients are exact
+    scalars.
+
+    One integer linear combination: the coefficients become numerators
+    c_k over one denominator, each basis polynomial its own numerator row
+    over d_k, and with L the lcm of the d_k the sum of c_k (L / d_k) row_k
+    is the result's numerator row over den L.
+    """
     coeffs = list(coeffs)
     if len(coeffs) > len(polys):
         raise ValueError(
             "got %d coefficients for %d basis polynomials"
             % (len(coeffs), len(polys))
         )
-    acc = PolyX.zero()
-    for c, p in zip(coeffs, polys):
-        if c:
-            acc = acc + c * p
-    return acc
+    try:
+        nums, den = _integer_row(coeffs)
+    except AttributeError:
+        raise TypeError("basis coefficients must be exact rationals") from None
+    terms = [(c, _integer_row(p.coeffs)) for c, p in zip(nums, polys) if c]
+    big = lcm(*(d for _, (_, d) in terms))
+    out = [0] * max((len(row) for _, (row, _) in terms), default=0)
+    for c, (row, d) in terms:
+        w = c * (big // d)
+        out[: len(row)] = [u + w * v for u, v in zip(out, row)]
+    while out and not out[-1]:
+        out.pop()
+    den *= big
+    return PolyX._raw(tuple(Q(s, den) if s else QZERO for s in out))
 
 
 # ---------------------------------------------------------------------------

@@ -494,11 +494,9 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
             point = PointResult(n=n, lam=lam)
             for y in range(n + 1):
                 shifted = as_poly(polys[n](PolyX((Q(y), QONE))))
-                acc = PolyX.zero()
-                for l in range(n + 1):
-                    value = polys[n - l](Q(y))
-                    if value:
-                        acc = acc + row[l] * value * polys[l]
+                acc = umbral.combine_basis(
+                    [row[l] * polys[n - l](Q(y)) for l in range(n + 1)], polys
+                )
                 if shifted != acc:
                     _fail(point, shifted, acc, "y=%d" % y)
                     break
@@ -824,11 +822,7 @@ def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
                     points.append(point)
                     continue
                 lhs = as_poly(rescaled[n](sub))
-                acc = PolyX.zero()
-                for k in range(n + 1):
-                    if closed[k]:
-                        acc = acc + closed[k] * dow[k]
-                rhs = Q(m) ** (-n) * acc
+                rhs = Q(m) ** (-n) * umbral.combine_basis(closed, dow)
                 if lhs != rhs:
                     _fail(point, lhs, rhs)
                 points.append(point)

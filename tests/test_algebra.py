@@ -224,7 +224,7 @@ def test_polyx_equality_never_raises():
 
 def test_polyx_arithmetic_refuses_strings():
     x = PolyX.x()
-    for text in ("1/2", "x"):
+    for text in ("1/2", "x", "2"):
         for op in (
             lambda: x + text,
             lambda: text + x,
@@ -232,6 +232,7 @@ def test_polyx_arithmetic_refuses_strings():
             lambda: text - x,
             lambda: x * text,
             lambda: text * x,
+            lambda: x / text,
         ):
             with pytest.raises(TypeError):
                 op()
@@ -239,6 +240,7 @@ def test_polyx_arithmetic_refuses_strings():
     assert x + Q(1, 2) == Q(1, 2) + x == PolyX((Q(1, 2), 1))
     assert x - 1 == -(1 - x) == PolyX((-1, 1))
     assert 3 * x == x * 3 == PolyX((0, 3))
+    assert x / 2 == x / Q(2) == PolyX((0, Q(1, 2)))
 
 
 def test_triangle_container():

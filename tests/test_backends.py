@@ -1,6 +1,8 @@
 """Backend parity: gmpy2 and the fractions fallback must give the same
-bytes for a verification report and a generated Sheffer basis."""
+bytes for a verification report, a generated Sheffer basis, and a change
+of basis there and back."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +11,15 @@ import pytest
 
 import degenpoly
 from degenpoly.cli import main
+from degenpoly.algebra import PolyX
 from degenpoly.output import poly_to_csv
 from degenpoly.rationals import Q
-from degenpoly.umbral import dowling_pair, sheffer_generate
+from degenpoly.umbral import (
+    combine_basis,
+    dowling_pair,
+    expand_in_basis,
+    sheffer_generate,
+)
 
 SRC = Path(degenpoly.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -29,14 +37,25 @@ test_backends.write_outputs(Path({out!r}))
 
 
 def write_outputs(out_dir: Path) -> None:
-    """The verify-all JSON report at n_max 4 and a cap-16 generated basis."""
+    """The verify-all JSON report at n_max 4, a cap-16 generated basis, and
+    seeded polynomials expanded in that basis and combined back."""
     code = main(
         ["verify", "all", "--n-max", "4", "--format", "json",
          "--out", str(out_dir / "verify.json")]
     )
     assert code == 0
-    polys = sheffer_generate(dowling_pair(2, Q(-2, 5), 16), 16)
+    pair = dowling_pair(2, Q(-2, 5), 16)
+    polys = sheffer_generate(pair, 16)
     (out_dir / "sheffer.csv").write_text("\n".join(poly_to_csv(p) for p in polys))
+    rng = random.Random(16)
+    lines = []
+    for degree in range(-1, 17):
+        p = PolyX([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)])
+        coeffs = expand_in_basis(p, pair)
+        back = combine_basis(coeffs, polys)
+        assert back == p
+        lines += [poly_to_csv(PolyX(coeffs)), poly_to_csv(back)]
+    (out_dir / "round_trip.csv").write_text("\n".join(lines))
 
 
 def test_gmpy2_and_fractions_backends_agree(tmp_path):
@@ -56,5 +75,5 @@ def test_gmpy2_and_fractions_backends_agree(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    for name in ("verify.json", "sheffer.csv"):
+    for name in ("verify.json", "sheffer.csv", "round_trip.csv"):
         assert (native / name).read_bytes() == (fallback / name).read_bytes(), name

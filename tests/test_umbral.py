@@ -7,7 +7,13 @@ import random
 import pytest
 
 import degenpoly.umbral as umbral
-from degenpoly.algebra import EgfSeries, PolyX, Triangle, to_lambda_falling_basis
+from degenpoly.algebra import (
+    EgfSeries,
+    PolyX,
+    Triangle,
+    _times_columns,
+    to_lambda_falling_basis,
+)
 from degenpoly.families import (
     degenerate_bernoulli,
     degenerate_bernoulli2,
@@ -79,19 +85,42 @@ def test_functional_cap_guard():
 
 def test_diff_op_action():
     lam = Q(1, 3)
-    # order zero maps the deformed basis onto plain powers
+    # t lowers the deformed basis as d/dx lowers powers:
+    # t^k (x)_n = (n)_k (x)_{n-k}, and order zero is the identity
     for n in range(6):
-        assert apply_lambda_diff_op(0, lambda_falling(n, lam), lam) == PolyX.monomial(n)
+        base = lambda_falling(n, lam)
+        assert apply_lambda_diff_op(0, base, lam) == base
+        for k in range(1, 8):
+            got = apply_lambda_diff_op(k, base, lam)
+            if k > n:
+                assert got.is_zero()
+            else:
+                assert got == lambda_falling(n - k, lam) * (fact(n) // fact(n - k))
     # frozen: x^3 has deformed-basis coordinates (0, 1/9, 1, 1), so one
-    # application leaves 1/9 + 2x + 3x^2
+    # application leaves 1/9 + 2 (x)_1 + 3 (x)_2 = 1/9 + x + 3x^2
     got = apply_lambda_diff_op(1, PolyX.monomial(3), lam)
-    assert got == PolyX([Q(1, 9), Q(2), Q(3)])
+    assert got == PolyX([Q(1, 9), QONE, Q(3)])
     # the undeformed case is plain differentiation
     assert apply_lambda_diff_op(1, PolyX.monomial(3), QZERO) == PolyX.monomial(2, Q(3))
     assert apply_lambda_diff_op(4, PolyX.monomial(3), QZERO).is_zero()
     # degree drops by the order
     p = PolyX([QONE, Q(2), Q(3), Q(4)])
     assert apply_lambda_diff_op(2, p, lam).degree == 1
+
+
+def test_diff_op_operator_law():
+    # the sequence owned by (g, f) satisfies f(t) s_n = n s_{n-1}
+    for lam in (Q(1, 3), Q(-2, 7)):
+        for make in (bell_pair, bernoulli_pair, bernoulli2_pair):
+            pair = make(lam, 7)
+            polys = sheffer_generate(pair, 7)
+            for n in range(8):
+                got = PolyX.zero()
+                for k in range(1, n + 1):
+                    term = apply_lambda_diff_op(k, polys[n], lam)
+                    got = got + pair.f.a[k] / fact(k) * term
+                want = n * polys[n - 1] if n else PolyX.zero()
+                assert got == want, (make.__name__, lam, n)
 
 
 def test_pair_validation():
@@ -204,6 +233,9 @@ def test_expand_guards():
     basis = sheffer_generate(target, 3)
     with pytest.raises(ValueError):
         combine_basis([QONE] * 6, basis)
+    for bad in (0.5, "1/2", PolyX.x()):
+        with pytest.raises(TypeError):
+            combine_basis([QONE, bad], basis)
 
 
 def test_connection_lambda_mismatch_guard():
@@ -441,3 +473,95 @@ def test_generation_certificate_catches_a_corrupted_array(monkeypatch):
     monkeypatch.undo()
     # a fresh pair is unaffected
     assert sheffer_generate(bernoulli2_pair(lam, cap), cap) == reference
+
+
+# ---------------------------------------------------------------------------
+# the integer change of basis, against the rational loops it replaced
+
+
+def _reference_falling(p, lam):
+    """Synthetic division by x - j lam, j = 0, 1, .., on rationals."""
+    lam = Q(lam)
+    cur = list(p.coeffs)
+    out = []
+    j = 0
+    while cur:
+        node = j * lam
+        deg = len(cur) - 1
+        quot = [QZERO] * deg
+        acc = cur[deg]
+        for i in range(deg - 1, -1, -1):
+            quot[i] = acc
+            acc = cur[i] + node * acc
+        out.append(acc)
+        cur = quot
+        j += 1
+    return out
+
+
+def _reference_combine(coeffs, polys):
+    """sum_k coeffs[k] polys[k], one PolyX product and sum per term."""
+    acc = PolyX.zero()
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = acc + c * p
+    return acc
+
+
+ROUND_TRIP_LAMS = (Q(1, 3), Q(-2, 5), QZERO, Q(5, 4), QONE)
+
+
+def test_integer_falling_division_matches_the_rational_cascade():
+    rng = random.Random(37)
+    for lam in ROUND_TRIP_LAMS:
+        pair = bell_pair(lam, 16)
+        assert to_lambda_falling_basis(PolyX.zero(), lam) == []
+        assert expand_in_basis(PolyX.zero(), pair) == []
+        for degree in range(17):
+            for p in (_random_poly(rng, degree), PolyX.monomial(degree, -3)):
+                want = _reference_falling(p, lam)
+                assert to_lambda_falling_basis(p, lam) == want
+                assert expand_in_basis(p, pair) == _times_columns(
+                    want, pair.probe_array
+                )
+
+
+def test_integer_combination_matches_the_polyx_loop():
+    rng = random.Random(41)
+    for lam in ROUND_TRIP_LAMS:
+        bases = [
+            sheffer_generate(dowling_pair(2, lam, 16), 16),
+            [_random_poly(rng, rng.randint(-1, 16)) for _ in range(17)],
+        ]
+        for basis in bases:
+            for count in (0, 1, 9, 17):
+                rational = _random_scalars(rng, count)
+                integer = [rng.randint(-5, 5) for _ in range(count)]
+                for coeffs in (rational, integer, [QZERO] * count):
+                    got = combine_basis(coeffs, basis)
+                    assert got.coeffs == _reference_combine(coeffs, basis).coeffs
+    # a combination that cancels is the zero polynomial, with no trailing zeros
+    p = PolyX([Q(1, 3), Q(2, 5), Q(-7, 2)])
+    q = PolyX([Q(1, 6), QZERO, Q(5)])
+    got = combine_basis([Q(2), QONE, Q(-1), -2], [q, p, p, q])
+    assert got == PolyX.zero() and got.coeffs == ()
+    top = combine_basis([QONE, QONE], [p, PolyX([QZERO, QZERO, Q(7, 2)])])
+    assert top.coeffs == (Q(1, 3), Q(2, 5))
+
+
+def test_change_of_basis_makes_no_polyx_arithmetic(monkeypatch):
+    rng = random.Random(43)
+    pair = dowling_pair(2, Q(-2, 5), 12)
+    basis = sheffer_generate(pair, 12)
+    polys = [_random_poly(rng, 12) for _ in range(4)]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+
+        def counting(self, other, _original=getattr(PolyX, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(PolyX, name, counting)
+    for p in polys:
+        assert combine_basis(expand_in_basis(p, pair), basis) == p
+    assert not calls
