@@ -344,13 +344,6 @@ class EgfSeries:
     def coeff(self, n: int):
         return self._a[n]
 
-    def order(self):
-        """Index of the first nonzero coefficient, or None for zero."""
-        for n, v in enumerate(self._a):
-            if v:
-                return n
-        return None
-
     def _match(self, other: "EgfSeries"):
         if len(self._a) != len(other._a):
             raise ValueError(
@@ -518,11 +511,6 @@ class EgfSeries:
             out.append(v * power)
             power = power * s
         return EgfSeries._raw(tuple(out))
-
-    def truncate(self, order_cap: int) -> "EgfSeries":
-        if order_cap > self.order_cap:
-            raise ValueError("cannot truncate upward")
-        return EgfSeries._raw(self._a[: order_cap + 1])
 
 
 def binomial_series(alpha, c, order_cap: int) -> EgfSeries:

@@ -104,8 +104,9 @@ def triangle_to_tex(triangle: Triangle) -> str:
 # polynomials
 
 
-def format_poly(poly: PolyX, var: str = "x") -> str:
-    """Human form, highest degree first: '3/2*x^2 - x + 1'."""
+def _join_terms(poly: PolyX, var: str, rational, power_fmt: str, times: str) -> str:
+    """Nonzero terms highest degree first, each coefficient written by
+    ``rational``, with the sign of each later term as ' + ' or ' - '."""
     if poly.is_zero():
         return "0"
     parts = []
@@ -113,20 +114,25 @@ def format_poly(poly: PolyX, var: str = "x") -> str:
         c = poly.coeff(k)
         if not c:
             continue
-        text = format_rational(c)
+        text = rational(c)
         negative = text.startswith("-")
         if negative:
             text = text[1:]
         if k == 0:
             body = text
         else:
-            power = var if k == 1 else "%s^%d" % (var, k)
-            body = power if text == "1" else "%s*%s" % (text, power)
+            power = var if k == 1 else power_fmt % (var, k)
+            body = power if text == "1" else text + times + power
         if not parts:
             parts.append("-" + body if negative else body)
         else:
             parts.append(("- " if negative else "+ ") + body)
     return " ".join(parts)
+
+
+def format_poly(poly: PolyX, var: str = "x") -> str:
+    """Human form, highest degree first: '3/2*x^2 - x + 1'."""
+    return _join_terms(poly, var, format_rational, "%s^%d", "*")
 
 
 def poly_to_json(poly: PolyX, **meta) -> str:
@@ -148,29 +154,7 @@ def poly_to_csv(poly: PolyX) -> str:
 
 
 def poly_to_tex(poly: PolyX, var: str = "x") -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for k in range(poly.degree, -1, -1):
-        c = poly.coeff(k)
-        if not c:
-            continue
-        text = _tex_rational(c)
-        negative = text.startswith("-")
-        if negative:
-            text = text[1:]
-        if k == 0:
-            body = text
-        elif k == 1:
-            body = var if text == "1" else text + var
-        else:
-            power = "%s^{%d}" % (var, k)
-            body = power if text == "1" else text + power
-        if not parts:
-            parts.append("-" + body if negative else body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts)
+    return _join_terms(poly, var, _tex_rational, "%s^{%d}", "")
 
 
 def poly_to_table(poly: PolyX, name: str = "p") -> str:

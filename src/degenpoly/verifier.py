@@ -8,6 +8,11 @@ bound (4n, deliberately loose), which upgrades grid evidence to proof.
 The one numeric tag (THM2_DOBINSKI, the floating-point summation) is
 tolerance-checked and never claims exact certification.
 
+A caller sets only n_max, the lam samples and the seed of THM9's random
+polynomials.  The rest of the grid is fixed: m in {1, 2, 3}, k in
+{0, ..., 3}, r in {0, 1, 2}, enumeration cap 8, and 200 Dobinski terms
+at a relative tolerance of 1e-8.
+
 Checkers recompute both sides of each identity through deliberately
 different routes: triangle sums against series compositions, engine
 connection coefficients against independent closed-form double/quadruple
@@ -28,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from . import families, kernels, triangles, umbral
 from .algebra import PolyX, as_poly, binom_row, factorial
@@ -91,6 +97,12 @@ _LAMBDA_FREE = frozenset(
 _NUMERIC = frozenset({IdentityId.THM2_DOBINSKI})
 
 _DOBINSKI_GRID = (Q(1, 10), Q(1, 3), Q(1, 2))
+_DOBINSKI_TERMS = 200
+_DOBINSKI_TOLERANCE = 1e-8
+_M_VALUES = (1, 2, 3)
+_K_VALUES = (0, 1, 2, 3)
+_R_VALUES = (0, 1, 2)
+_ENUMERATION_CAP = 8
 
 
 def lambda_degree_bound(identity, n: int) -> int:
@@ -136,15 +148,21 @@ def default_lambda_samples(count: int) -> tuple:
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The size, the lam samples (None for the default grid; stored as a
+    tuple, and an empty one raises ``ValueError``, as it would pass with
+    no evidence) and THM9's seed.  The rest of the grid is fixed: m in
+    {1, 2, 3}, k in {0, ..., 3}, r in {0, 1, 2}, enumeration cap 8, and
+    200 Dobinski terms at 1e-8."""
+
     n_max: int = 8
     lambda_samples: tuple | None = None
-    m_values: tuple = (1, 2, 3)
-    k_values: tuple = (0, 1, 2, 3)
-    r_values: tuple = (0, 1, 2)
     seed: int = 0
-    enumeration_cap: int = 8
-    dobinski_terms: int = 200
-    dobinski_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if self.lambda_samples is not None:
+            object.__setattr__(self, "lambda_samples", tuple(self.lambda_samples))
+            if not self.lambda_samples:
+                raise ValueError("empty sample list")
 
     def samples(self) -> tuple:
         if self.lambda_samples is not None:
@@ -400,6 +418,32 @@ def _check_inverse_pair(points, first, second, n_max, lam=None, m=None, r=None):
             points.append(point)
 
 
+def _check_rows(points, lhs, rhs, n_max, **where):
+    """Row n of one route equals row n of the other, for every n."""
+    for n in range(n_max + 1):
+        point = PointResult(n=n, **where)
+        if lhs[n] != rhs[n]:
+            _fail(point, lhs[n], rhs[n])
+        points.append(point)
+
+
+def _check_connection(points, source, target, closed, basis, expected, n_max, **where):
+    """One connection identity: the closed-form rows equal the engine's
+    connection coefficients from the source pair to the target pair, and
+    combining row n against the target family rebuilds ``expected[n]``."""
+    engine = umbral.connection_coefficients(source, target, n_max)
+    for n in range(n_max + 1):
+        point = PointResult(n=n, **where)
+        engine_row = [engine[n, k] for k in range(n + 1)]
+        if closed[n] != engine_row:
+            _fail(point, PolyX(closed[n]), PolyX(engine_row), "coefficients")
+        else:
+            rebuilt = umbral.combine_basis(closed[n], basis)
+            if rebuilt != expected[n]:
+                _fail(point, rebuilt, expected[n], "reconstruction")
+        points.append(point)
+
+
 def check_stirling_ortho(ws: _Workspace, cfg: SuiteConfig):
     points = []
     _check_inverse_pair(points, ws.s1(), ws.s2(), cfg.n_max)
@@ -415,15 +459,15 @@ def check_deg_stirling_ortho(ws: _Workspace, cfg: SuiteConfig):
 
 def check_eq_1a_2a(ws: _Workspace, cfg: SuiteConfig):
     points = []
-    for m in cfg.m_values:
+    for m in _M_VALUES:
         _check_inverse_pair(points, ws.rw1(m, 1), ws.rw2(m, 1), cfg.n_max, m=m)
     return points
 
 
 def check_eq_3a_4a(ws: _Workspace, cfg: SuiteConfig):
     points = []
-    for m in cfg.m_values:
-        for r in cfg.r_values:
+    for m in _M_VALUES:
+        for r in _R_VALUES:
             _check_inverse_pair(
                 points, ws.rw1(m, r), ws.rw2(m, r), cfg.n_max, m=m, r=r
             )
@@ -437,12 +481,8 @@ def check_lemma1(ws: _Workspace, cfg: SuiteConfig):
         sum_side = ws.bell_polys(lam)
         inner = ws.dexp1(lam) - 1
         series = ws.dexp_sym(lam).compose(inner)
-        for n in range(cfg.n_max + 1):
-            gf = as_poly(series.a[n])
-            point = PointResult(n=n, lam=lam)
-            if sum_side[n] != gf:
-                _fail(point, sum_side[n], gf)
-            points.append(point)
+        gf = [as_poly(series.a[n]) for n in range(cfg.n_max + 1)]
+        _check_rows(points, sum_side, gf, cfg.n_max, lam=lam)
     return points
 
 
@@ -450,16 +490,12 @@ def check_thm3_gf(ws: _Workspace, cfg: SuiteConfig):
     """Triangle-sum Dowling polynomials against the composed series route."""
     points = []
     for lam in cfg.samples():
-        for m in cfg.m_values:
+        for m in _M_VALUES:
             sum_side = ws.dowling_polys(m, lam)
             inner = (ws.dexpm(m, lam) - 1) * Q(1, m)
             series = ws.dexp1(lam) * ws.dexp_sym(lam).compose(inner)
-            for n in range(cfg.n_max + 1):
-                gf = as_poly(series.a[n])
-                point = PointResult(n=n, lam=lam, m=m)
-                if sum_side[n] != gf:
-                    _fail(point, sum_side[n], gf)
-                points.append(point)
+            gf = [as_poly(series.a[n]) for n in range(cfg.n_max + 1)]
+            _check_rows(points, sum_side, gf, cfg.n_max, lam=lam, m=m)
     return points
 
 
@@ -469,12 +505,12 @@ def check_thm2_dobinski(ws: _Workspace, cfg: SuiteConfig):
     for lam in _DOBINSKI_GRID:
         for n in range(cfg.n_max + 1):
             approx, reference = families.dobinski_eval(
-                n, lam, QONE, cfg.dobinski_terms
+                n, lam, QONE, _DOBINSKI_TERMS
             )
             denom = abs(reference) if reference else 1.0
             err = abs(approx - reference) / denom
             point = PointResult(n=n, lam=lam)
-            if not err < cfg.dobinski_tolerance:
+            if not err < _DOBINSKI_TOLERANCE:
                 _fail(point, approx, reference, "rel err %.3e" % err)
             points.append(point)
     return points
@@ -504,20 +540,6 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
     return points
 
 
-def _expand_and_compare(point, closed_rows, engine_tri, target_polys, expected, n):
-    """Shared tail for the basis-expansion identities: closed-form row
-    equals the engine row, and the reconstruction equals the expected
-    polynomial."""
-    closed = closed_rows[n]
-    engine = [engine_tri[n, k] for k in range(n + 1)]
-    if closed != engine:
-        _fail(point, PolyX(closed), PolyX(engine), "coefficients")
-        return
-    rebuilt = umbral.combine_basis(closed, target_polys)
-    if rebuilt != expected:
-        _fail(point, rebuilt, expected, "reconstruction")
-
-
 def check_thm5(ws: _Workspace, cfg: SuiteConfig):
     """Bernoulli-to-Bell coefficients: binomial convolution of Bernoulli
     numbers with the first-kind triangle."""
@@ -525,13 +547,6 @@ def check_thm5(ws: _Workspace, cfg: SuiteConfig):
     for lam in cfg.samples():
         s1d = ws.s1deg(lam)
         numbers = ws.bernoulli_numbers(lam)
-        bern = ws.bernoulli_polys(lam)
-        bell = ws.bell_polys(lam)
-        engine = umbral.connection_coefficients(
-            ws.pair(umbral.bernoulli_pair, lam),
-            ws.pair(umbral.bell_pair, lam),
-            cfg.n_max,
-        )
         closed = []
         for n in range(cfg.n_max + 1):
             row = binom_row(n)
@@ -547,10 +562,10 @@ def check_thm5(ws: _Workspace, cfg: SuiteConfig):
                     for k in range(n + 1)
                 ]
             )
-        for n in range(cfg.n_max + 1):
-            point = PointResult(n=n, lam=lam)
-            _expand_and_compare(point, closed, engine, bell, bern[n], n)
-            points.append(point)
+        _check_connection(
+            points, ws.pair(umbral.bernoulli_pair, lam), ws.pair(umbral.bell_pair, lam),
+            closed, ws.bell_polys(lam), ws.bernoulli_polys(lam), cfg.n_max, lam=lam,
+        )
     return points
 
 
@@ -560,21 +575,14 @@ def check_thm6(ws: _Workspace, cfg: SuiteConfig):
     points = []
     for lam in cfg.samples():
         s1d = ws.s1deg(lam)
-        bell = ws.bell_polys(lam)
-        engine = umbral.connection_coefficients(
-            ws.pair(umbral.falling_pair, lam),
-            ws.pair(umbral.bell_pair, lam),
-            cfg.n_max,
-        )
         closed = [
             [s1d[n, k] for k in range(n + 1)] for n in range(cfg.n_max + 1)
         ]
-        for n in range(cfg.n_max + 1):
-            point = PointResult(n=n, lam=lam)
-            _expand_and_compare(
-                point, closed, engine, bell, ws.falling(n, lam), n
-            )
-            points.append(point)
+        falling = [ws.falling(n, lam) for n in range(cfg.n_max + 1)]
+        _check_connection(
+            points, ws.pair(umbral.falling_pair, lam), ws.pair(umbral.bell_pair, lam),
+            closed, ws.bell_polys(lam), falling, cfg.n_max, lam=lam,
+        )
     return points
 
 
@@ -585,14 +593,9 @@ def check_thm7(ws: _Workspace, cfg: SuiteConfig):
     for lam in cfg.samples():
         s1d = ws.s1deg(lam)
         bell = ws.bell_polys(lam)
-        for k_order in cfg.k_values:
+        for k_order in _K_VALUES:
             polys = ws.polybell_polys(k_order, lam)
             numbers = [p.coeff(0) for p in polys]
-            engine = umbral.connection_coefficients(
-                ws.pair(umbral.poly_bell_pair, k_order, lam),
-                ws.pair(umbral.bell_pair, lam),
-                cfg.n_max,
-            )
             closed = []
             for n in range(cfg.n_max + 1):
                 row = binom_row(n)
@@ -608,12 +611,11 @@ def check_thm7(ws: _Workspace, cfg: SuiteConfig):
                         for j in range(n + 1)
                     ]
                 )
-            for n in range(cfg.n_max + 1):
-                point = PointResult(n=n, lam=lam, k=k_order)
-                _expand_and_compare(
-                    point, closed, engine, bell, polys[n], n
-                )
-                points.append(point)
+            _check_connection(
+                points, ws.pair(umbral.poly_bell_pair, k_order, lam),
+                ws.pair(umbral.bell_pair, lam), closed, bell, polys, cfg.n_max,
+                lam=lam, k=k_order,
+            )
     return points
 
 
@@ -629,12 +631,6 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
         s2d = ws.s2deg(lam)
         numbers = ws.bernoulli_numbers(lam)
         bell = ws.bell_polys(lam)
-        b2 = ws.bernoulli2_polys(lam)
-        engine = umbral.connection_coefficients(
-            ws.pair(umbral.bell_pair, lam),
-            ws.pair(umbral.bernoulli2_pair, lam),
-            cfg.n_max,
-        )
         bell_at = [
             [p(Q(l)) for l in range(cfg.n_max + 1)] for p in bell
         ]
@@ -662,10 +658,11 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
                     acc = acc + outer * inner
                 row.append(acc / factorial(k))
             closed.append(row)
-        for n in range(cfg.n_max + 1):
-            point = PointResult(n=n, lam=lam)
-            _expand_and_compare(point, closed, engine, b2, bell[n], n)
-            points.append(point)
+        _check_connection(
+            points, ws.pair(umbral.bell_pair, lam),
+            ws.pair(umbral.bernoulli2_pair, lam), closed, ws.bernoulli2_polys(lam),
+            bell, cfg.n_max, lam=lam,
+        )
     return points
 
 
@@ -695,21 +692,18 @@ def check_thm9_roundtrip(ws: _Workspace, cfg: SuiteConfig):
         ]
         bell = ws.bell_polys(lam)
         bell_pair = ws.pair(umbral.bell_pair, lam)
-        for m in cfg.m_values:
-            dow = ws.dowling_polys(m, lam)
-            dow_pair = ws.pair(umbral.dowling_pair, m, lam)
+        for m in _M_VALUES:
+            bases = (
+                ("bell basis", bell_pair, bell),
+                ("dowling basis", ws.pair(umbral.dowling_pair, m, lam),
+                 ws.dowling_polys(m, lam)),
+            )
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, m=m)
-                for p in test_polys[n]:
-                    c_bell = umbral.expand_in_basis(p, bell_pair)
-                    back = umbral.combine_basis(c_bell, bell)
+                for p, (context, pair, basis) in product(test_polys[n], bases):
+                    back = umbral.combine_basis(umbral.expand_in_basis(p, pair), basis)
                     if back != p:
-                        _fail(point, back, p, "bell basis")
-                        break
-                    c_dow = umbral.expand_in_basis(p, dow_pair)
-                    back = umbral.combine_basis(c_dow, dow)
-                    if back != p:
-                        _fail(point, back, p, "dowling basis")
+                        _fail(point, back, p, context)
                         break
                 points.append(point)
     return points
@@ -723,14 +717,8 @@ def check_thm10(ws: _Workspace, cfg: SuiteConfig):
         numbers = ws.bernoulli_numbers(lam)
         bern = ws.bernoulli_polys(lam)
         s1c = ws.s1()
-        for m in cfg.m_values:
+        for m in _M_VALUES:
             s1dm = ws.s1deg(Q(lam) / m)
-            dow = ws.dowling_polys(m, lam)
-            engine = umbral.connection_coefficients(
-                ws.pair(umbral.bernoulli_pair, lam),
-                ws.pair(umbral.dowling_pair, m, lam),
-                cfg.n_max,
-            )
             closed = []
             for n in range(cfg.n_max + 1):
                 rown = binom_row(n)
@@ -755,10 +743,11 @@ def check_thm10(ws: _Workspace, cfg: SuiteConfig):
                                 acc = acc - term if i % 2 else acc + term
                     row.append(acc)
                 closed.append(row)
-            for n in range(cfg.n_max + 1):
-                point = PointResult(n=n, lam=lam, m=m)
-                _expand_and_compare(point, closed, engine, dow, bern[n], n)
-                points.append(point)
+            _check_connection(
+                points, ws.pair(umbral.bernoulli_pair, lam),
+                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling_polys(m, lam),
+                bern, cfg.n_max, lam=lam, m=m,
+            )
     return points
 
 
@@ -769,14 +758,8 @@ def check_thm11(ws: _Workspace, cfg: SuiteConfig):
     for lam in cfg.samples():
         s1d = ws.s1deg(lam)
         bell = ws.bell_polys(lam)
-        for m in cfg.m_values:
+        for m in _M_VALUES:
             wd = ws.wdeg(m, lam)
-            dow = ws.dowling_polys(m, lam)
-            engine = umbral.connection_coefficients(
-                ws.pair(umbral.dowling_pair, m, lam),
-                ws.pair(umbral.bell_pair, lam),
-                cfg.n_max,
-            )
             closed = [
                 [
                     sum(
@@ -787,45 +770,43 @@ def check_thm11(ws: _Workspace, cfg: SuiteConfig):
                 ]
                 for n in range(cfg.n_max + 1)
             ]
-            for n in range(cfg.n_max + 1):
-                point = PointResult(n=n, lam=lam, m=m)
-                _expand_and_compare(point, closed, engine, bell, dow[n], n)
-                points.append(point)
+            _check_connection(
+                points, ws.pair(umbral.dowling_pair, m, lam),
+                ws.pair(umbral.bell_pair, lam), closed, bell, ws.dowling_polys(m, lam),
+                cfg.n_max, lam=lam, m=m,
+            )
     return points
 
 
 def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
     """Rescaled Bell polynomials as binomial sums of Dowling polynomials,
-    with the engine route through the rescaled pair as cross-check."""
+    with the engine route through the rescaled pair as cross-check.
+
+    The m^-n factor of the identity moves to the rescaled side, so the
+    closed rows do not depend on m.
+    """
     points = []
     for lam in cfg.samples():
-        for m in cfg.m_values:
+        minus_one = [
+            kernels.lambda_falling_eval(-1, d, lam)
+            for d in range(cfg.n_max + 1)
+        ]
+        closed = []
+        for n in range(cfg.n_max + 1):
+            row = binom_row(n)
+            closed.append([row[k] * minus_one[n - k] for k in range(n + 1)])
+        for m in _M_VALUES:
             rescaled = ws.bell_polys(Q(lam) / m)
-            dow = ws.dowling_polys(m, lam)
-            engine = umbral.connection_coefficients(
-                ws.pair(umbral.rescaled_bell_pair, m, lam),
-                ws.pair(umbral.dowling_pair, m, lam),
-                cfg.n_max,
-            )
             sub = PolyX((QZERO, Q(1, m)))
-            minus_one = [
-                kernels.lambda_falling_eval(-1, d, lam)
-                for d in range(cfg.n_max + 1)
+            expected = [
+                Q(m) ** n * as_poly(rescaled[n](sub))
+                for n in range(cfg.n_max + 1)
             ]
-            for n in range(cfg.n_max + 1):
-                row = binom_row(n)
-                point = PointResult(n=n, lam=lam, m=m)
-                closed = [row[k] * minus_one[n - k] for k in range(n + 1)]
-                engine_row = [engine[n, k] for k in range(n + 1)]
-                if closed != engine_row:
-                    _fail(point, PolyX(closed), PolyX(engine_row), "coefficients")
-                    points.append(point)
-                    continue
-                lhs = as_poly(rescaled[n](sub))
-                rhs = Q(m) ** (-n) * umbral.combine_basis(closed, dow)
-                if lhs != rhs:
-                    _fail(point, lhs, rhs)
-                points.append(point)
+            _check_connection(
+                points, ws.pair(umbral.rescaled_bell_pair, m, lam),
+                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling_polys(m, lam),
+                expected, cfg.n_max, lam=lam, m=m,
+            )
     return points
 
 
@@ -834,11 +815,7 @@ def check_polybell_k1(ws: _Workspace, cfg: SuiteConfig):
     for lam in cfg.samples():
         bern = ws.bernoulli_polys(lam)
         poly1 = ws.polybell_polys(1, lam)
-        for n in range(cfg.n_max + 1):
-            point = PointResult(n=n, lam=lam, k=1)
-            if poly1[n] != bern[n]:
-                _fail(point, poly1[n], bern[n])
-            points.append(point)
+        _check_rows(points, poly1, bern, cfg.n_max, lam=lam, k=1)
     return points
 
 
@@ -854,7 +831,7 @@ def check_limit_suite(ws: _Workspace, cfg: SuiteConfig):
     bern0 = ws.bernoulli_numbers(zero)
     classical = ws.classical_bernoulli()
     poly1 = ws.polybell_polys(1, zero)
-    enum_cap = min(cfg.n_max, cfg.enumeration_cap)
+    enum_cap = min(cfg.n_max, _ENUMERATION_CAP)
     for n in range(cfg.n_max + 1):
         point = PointResult(n=n)
         checks = []
@@ -862,7 +839,7 @@ def check_limit_suite(ws: _Workspace, cfg: SuiteConfig):
             checks.append(("first-kind row", PolyX(s1z.row(n)), PolyX(s1c.row(n))))
         if s2z.row(n) != s2c.row(n):
             checks.append(("second-kind row", PolyX(s2z.row(n)), PolyX(s2c.row(n))))
-        for m in cfg.m_values:
+        for m in _M_VALUES:
             if ws.wdeg(m, zero).row(n) != ws.rw2(m, 1).row(n):
                 checks.append(
                     (
@@ -875,7 +852,6 @@ def check_limit_suite(ws: _Workspace, cfg: SuiteConfig):
             counted = ws.bell_number(n)
             if bell0[n](QONE) != counted:
                 checks.append(("bell count", bell0[n](QONE), Q(counted)))
-        if n <= enum_cap:
             counted = ws.bell_number(n + 1)
             dowling_at_one = families.degenerate_dowling(n, 1, zero)(QONE)
             if dowling_at_one != counted:
@@ -902,14 +878,14 @@ def check_whitney_oracle(ws: _Workspace, cfg: SuiteConfig):
     """Triangular-solve Whitney numbers against colored-partition counts,
     plus the m = 1, r = 1 collapse onto shifted second-kind numbers."""
     points = []
-    for r in cfg.r_values:
-        for m in cfg.m_values:
+    for r in _R_VALUES:
+        for m in _M_VALUES:
             tri = ws.rw2(m, r)
-            for n in range(min(cfg.n_max, cfg.enumeration_cap - r) + 1):
+            for n in range(min(cfg.n_max, _ENUMERATION_CAP - r) + 1):
                 for k in range(n + 1):
                     point = PointResult(n=n, m=m, k=k, r=r)
                     counted = triangles.enumerate_colored_partitions(
-                        n, k, m, r, max_elements=cfg.enumeration_cap
+                        n, k, m, r, max_elements=_ENUMERATION_CAP
                     )
                     if tri[n, k] != counted:
                         _fail(point, tri[n, k], Q(counted))
@@ -958,7 +934,7 @@ def _build_report(identity: IdentityId, cfg: SuiteConfig, points) -> Verificatio
         certified = False
         notes = (
             "numeric tolerance %.0e on the floated truncation; excluded "
-            "from exact certification" % cfg.dobinski_tolerance
+            "from exact certification" % _DOBINSKI_TOLERANCE
         )
     elif identity in _LAMBDA_FREE:
         certified = passed
@@ -985,31 +961,11 @@ def _build_report(identity: IdentityId, cfg: SuiteConfig, points) -> Verificatio
 
 
 def verify(
-    identity,
-    n_max: int = 8,
-    lambda_samples=None,
-    m_values=(1, 2, 3),
-    k_values=(0, 1, 2, 3),
-    *,
-    r_values=(0, 1, 2),
-    seed: int = 0,
-    enumeration_cap: int = 8,
-    dobinski_terms: int = 200,
-    dobinski_tolerance: float = 1e-8,
+    identity, n_max: int = 8, lambda_samples=None, *, seed: int = 0
 ) -> VerificationReport:
     """Run one identity's checker over its grid and report."""
     identity = _as_identity(identity)
-    cfg = SuiteConfig(
-        n_max=n_max,
-        lambda_samples=None if lambda_samples is None else tuple(lambda_samples),
-        m_values=tuple(m_values),
-        k_values=tuple(k_values),
-        r_values=tuple(r_values),
-        seed=seed,
-        enumeration_cap=enumeration_cap,
-        dobinski_terms=dobinski_terms,
-        dobinski_tolerance=dobinski_tolerance,
-    )
+    cfg = SuiteConfig(n_max=n_max, lambda_samples=lambda_samples, seed=seed)
     ws = _Workspace(cfg)
     points = _CHECKERS[identity](ws, cfg)
     return _build_report(identity, cfg, points)

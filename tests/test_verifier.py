@@ -3,12 +3,15 @@ reports are deterministic and certify correctly, and a corrupted input
 triangle or family is caught with a usable witness."""
 
 import hashlib
+from dataclasses import replace
+from math import prod
 
 import pytest
 
 import degenpoly.families as families
 import degenpoly.triangles as triangles
 import degenpoly.umbral as umbral
+import degenpoly.verifier as verifier
 from degenpoly.algebra import EgfSeries, PolyX, Triangle
 from degenpoly.cli import main
 from degenpoly.kernels import lambda_falling
@@ -114,6 +117,21 @@ def test_full_suite_at_n_max_zero():
     assert [r.identity for r in reports] == ALL_TAGS
     assert all(r.passed for r in reports), [r.witness for r in reports]
     assert all(p.n == 0 for r in reports for p in r.points if p.n is not None)
+
+
+def test_an_empty_grid_is_refused():
+    with pytest.raises(ValueError):
+        verify("LEMMA1", n_max=2, lambda_samples=())
+    with pytest.raises(ValueError):
+        SuiteConfig(lambda_samples=())
+    # the m, k and r grids are fixed, so no caller can empty them either
+    with pytest.raises(TypeError):
+        verify("EQ_3A_4A_ORTHO", m_values=())
+    reports = run_full_suite(SuiteConfig(n_max=0))
+    assert all(r.to_dict()["points_total"] >= 1 for r in reports)
+    # a one-shot iterable is read once, not once per checker
+    reports = run_full_suite(SuiteConfig(n_max=1, lambda_samples=iter([Q(1, 3)])))
+    assert all(r.points for r in reports)
 
 
 def test_full_suite_order_and_size():
@@ -310,3 +328,67 @@ def test_thm9_draws_its_random_polynomials_once_per_run(monkeypatch):
         randoms.append(polys - fixed)
     assert randoms[0]
     assert all(r == randoms[0] for r in randoms)
+
+
+_AUDITED = (
+    "THM5", "THM6", "THM7", "THM8", "THM9_ROUNDTRIP", "THM10", "THM11",
+    "EQ25_ADDITION", "EQ56_CLOSING",
+)
+
+
+def _non_polynomial_entries(monkeypatch, tags, n_max=4):
+    """Engine outputs that are not polynomials in lam of degree <= bound.
+
+    Each identity runs once per lam in default_lambda_samples(bound + 2).
+    Every output of connection_coefficients and combine_basis is recorded
+    coefficient by coefficient, and each recorded entry must have a
+    vanishing divided difference of order bound + 1 over those samples.
+    Returns (tag, call index, coefficient index) for each entry that
+    does not.
+    """
+    connect, combine = umbral.connection_coefficients, umbral.combine_basis
+    record = []
+
+    def connection(*args):
+        tri = connect(*args)
+        record.append([v for row in tri.rows for v in row])
+        return tri
+
+    def combination(*args):
+        poly = combine(*args)
+        record.append(list(poly.coeffs))
+        return poly
+
+    monkeypatch.setattr(umbral, "connection_coefficients", connection)
+    monkeypatch.setattr(umbral, "combine_basis", combination)
+    bad = []
+    for tag in tags:
+        lams = default_lambda_samples(lambda_degree_bound(tag, n_max) + 2)
+        runs = []
+        for lam in lams:
+            record.clear()
+            assert verify(tag, n_max=n_max, lambda_samples=(lam,)).passed, tag
+            runs.append(list(record))
+        assert len({len(run) for run in runs}) == 1, tag
+        weights = [1 / prod(a - b for b in lams if b != a) for a in lams]
+        for call, outputs in enumerate(zip(*runs)):
+            for i in range(max(len(out) for out in outputs)):
+                values = [out[i] if i < len(out) else 0 for out in outputs]
+                if sum(w * v for w, v in zip(weights, values)):
+                    bad.append((tag, call, i))
+    return bad
+
+
+def test_compared_values_are_polynomial_in_lambda(monkeypatch):
+    assert _non_polynomial_entries(monkeypatch, _AUDITED) == []
+
+
+def test_lambda_audit_catches_per_lambda_random_polynomials(monkeypatch):
+    # THM9 drawing its random polynomials per lam sample, as it once did
+    draw = verifier._random_test_polys
+    monkeypatch.setattr(
+        verifier,
+        "_random_test_polys",
+        lambda cfg: draw(replace(cfg, seed=hash(cfg.samples()))),
+    )
+    assert _non_polynomial_entries(monkeypatch, ("THM9_ROUNDTRIP",))
