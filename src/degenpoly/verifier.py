@@ -16,13 +16,15 @@ at a relative tolerance of 1e-8.
 Checkers recompute both sides of each identity through deliberately
 different routes: triangle sums against series compositions, engine
 connection coefficients against independent closed-form double/quadruple
-sums, algebra against brute-force enumeration.  The verifier builds no
-family polynomial itself: triangles, kernel series, family polynomials
-and Sheffer pairs all come from the package's public constructors (the
-family polynomials from ``families``, the very code the package ships)
-and are cached per run in a workspace.  The cache is created fresh for
-every verification call so a patched or corrupted constructor is always
-honored.
+sums, algebra against brute-force enumeration.  The closed sides of THM5,
+THM7 and THM10 share one binomial contraction against a triangle; no
+engine side calls it.  The verifier builds no family polynomial itself:
+triangles, kernel series, family polynomials and Sheffer pairs all come
+from the package's public constructors (the family polynomials from
+``families``, the very code the package ships) through a per-run memo,
+``ws(fn, *args)``, keyed on the constructor and its arguments.  The memo
+is created fresh for every verification call, and a patched or corrupted
+constructor is a new key, so it is always honored.
 
 Reports are deterministic: identical arguments produce identical report
 objects, byte-identical once serialized.
@@ -36,7 +38,7 @@ from enum import Enum
 from itertools import product
 
 from . import families, kernels, triangles, umbral
-from .algebra import PolyX, as_poly, binom_row, factorial
+from .algebra import PolyX, Triangle, as_poly, binom_row, factorial
 from .rationals import Q, QONE, QZERO, format_rational
 
 
@@ -149,16 +151,18 @@ def default_lambda_samples(count: int) -> tuple:
 @dataclass(frozen=True)
 class SuiteConfig:
     """The size, the lam samples (None for the default grid; stored as a
-    tuple, and an empty one raises ``ValueError``, as it would pass with
-    no evidence) and THM9's seed.  The rest of the grid is fixed: m in
-    {1, 2, 3}, k in {0, ..., 3}, r in {0, 1, 2}, enumeration cap 8, and
-    200 Dobinski terms at 1e-8."""
+    tuple) and THM9's seed.  A negative size or an empty sample list
+    raises ``ValueError``, as either would pass with no evidence.  The
+    rest of the grid is fixed: m in {1, 2, 3}, k in {0, ..., 3}, r in
+    {0, 1, 2}, enumeration cap 8, and 200 Dobinski terms at 1e-8."""
 
     n_max: int = 8
     lambda_samples: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
         if self.lambda_samples is not None:
             object.__setattr__(self, "lambda_samples", tuple(self.lambda_samples))
             if not self.lambda_samples:
@@ -237,184 +241,87 @@ def _fail(point: PointResult, lhs, rhs, context: str = ""):
 
 
 class _Workspace:
-    """Per-run cache of triangles, kernel series, family polynomials and
-    Sheffer pairs.
+    """Per-run memo: ``ws(fn, *args)`` is ``fn(*args)``, built once per run.
 
-    Every entry is one call of a public module function, looked up on its
-    module at call time so that a deliberately substituted (or corrupted)
-    constructor is honored.  The Bell and Dowling families are
-    ``families.falling_basis_rows`` on the triangles this cache already
-    holds, so no triangle is built twice; the series families are the
-    ``families`` sequence constructors at n_max; pairs are keyed by their
-    ``umbral`` constructor.  The workspace never outlives the
-    verification call that created it.
+    The key is ``(fn, *args)``.  Checkers look ``fn`` up on its module
+    when they call, so a substituted (or corrupted) constructor is a new
+    key and is honored.  ``pair`` adds the cap every pair constructor
+    takes; ``bell`` and ``dowling`` are ``families.falling_basis_rows`` on
+    the memoized triangle, keyed by name because a triangle is unhashable.
+    The workspace never outlives the verification call that created it.
     """
 
-    def __init__(self, cfg: SuiteConfig):
-        self.cfg = cfg
-        self._cache = {}
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self._memo = {}
 
     def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
-    # triangles -----------------------------------------------------------
-    def s1(self):
-        return self._get(("s1",), lambda: triangles.stirling1(self.cfg.n_max))
+    def __call__(self, fn, *args):
+        return self._get((fn,) + args, lambda: fn(*args))
 
-    def s2(self):
-        return self._get(("s2",), lambda: triangles.stirling2(self.cfg.n_max))
-
-    def s1deg(self, lam):
-        return self._get(
-            ("s1deg", lam),
-            lambda: triangles.degenerate_stirling1(self.cfg.n_max, lam),
-        )
-
-    def s2deg(self, lam):
-        return self._get(
-            ("s2deg", lam),
-            lambda: triangles.degenerate_stirling2(self.cfg.n_max, lam),
-        )
-
-    def wdeg(self, m, lam):
-        return self._get(
-            ("wdeg", m, lam),
-            lambda: triangles.degenerate_whitney2(self.cfg.n_max, m, lam),
-        )
-
-    def rw1(self, m, r):
-        return self._get(
-            ("rw1", m, r), lambda: triangles.r_whitney1(self.cfg.n_max, m, r)
-        )
-
-    def rw2(self, m, r):
-        return self._get(
-            ("rw2", m, r), lambda: triangles.r_whitney2(self.cfg.n_max, m, r)
-        )
-
-    # kernel series -------------------------------------------------------
-    def dexp1(self, lam):
-        return self._get(
-            ("dexp1", lam),
-            lambda: kernels.degenerate_exp(
-                QONE, lam, self.cfg.n_max, limit_mode=True
-            ),
-        )
-
-    def dexpm(self, m, lam):
-        return self._get(
-            ("dexpm", m, lam),
-            lambda: kernels.degenerate_exp(
-                Q(m), lam, self.cfg.n_max, limit_mode=True
-            ),
-        )
-
-    def dexp_sym(self, lam):
-        return self._get(
-            ("dexp_sym", lam),
-            lambda: kernels.degenerate_exp(
-                PolyX.x(), lam, self.cfg.n_max, limit_mode=True
-            ),
-        )
-
-    def falling(self, k, lam):
-        return self._get(
-            ("falling", k, lam), lambda: kernels.lambda_falling(k, lam)
-        )
-
-    # family polynomials --------------------------------------------------
-    def bell_polys(self, lam):
-        return self._get(
-            ("bell_polys", lam),
-            lambda: families.falling_basis_rows(self.s2deg(lam), lam),
-        )
-
-    def dowling_polys(self, m, lam):
-        return self._get(
-            ("dowling_polys", m, lam),
-            lambda: families.falling_basis_rows(self.wdeg(m, lam), lam),
-        )
-
-    def bernoulli_polys(self, lam):
-        return self._get(
-            ("bernoulli_polys", lam),
-            lambda: families.degenerate_bernoulli_polys(self.cfg.n_max, lam),
-        )
-
-    def bernoulli_numbers(self, lam):
-        return self._get(
-            ("bernoulli_numbers", lam),
-            lambda: [p.coeff(0) for p in self.bernoulli_polys(lam)],
-        )
-
-    def bernoulli2_polys(self, lam):
-        return self._get(
-            ("bernoulli2_polys", lam),
-            lambda: families.degenerate_bernoulli2_polys(self.cfg.n_max, lam),
-        )
-
-    def polybell_polys(self, k, lam):
-        return self._get(
-            ("polybell_polys", k, lam),
-            lambda: families.degenerate_poly_bell_polys(self.cfg.n_max, k, lam),
-        )
-
-    # engine pairs --------------------------------------------------------
     def pair(self, ctor, *args):
-        """ctor(*args, cap) for one of the umbral pair constructors.
+        """ctor(*args, cap), with the cap at least 1, the least a pair
+        accepts, so the checkers also run at n_max = 0."""
+        return self(ctor, *args, max(self.n_max, 1))
 
-        The cap is at least 1, the least a pair accepts, so the checkers
-        also run at n_max = 0.
-        """
+    def bell(self, lam):
+        tri = self(triangles.degenerate_stirling2, self.n_max, lam)
+        return self._get(("bell", lam), lambda: families.falling_basis_rows(tri, lam))
+
+    def dowling(self, m, lam):
+        tri = self(triangles.degenerate_whitney2, self.n_max, m, lam)
         return self._get(
-            ("pair", ctor) + args, lambda: ctor(*args, max(self.cfg.n_max, 1))
+            ("dowling", m, lam), lambda: families.falling_basis_rows(tri, lam)
         )
-
-    # oracles -------------------------------------------------------------
-    def bell_number(self, n):
-        return self._get(
-            ("bell_number", n),
-            lambda: sum(1 for _ in triangles.set_partitions(range(n))),
-        )
-
-    def classical_bernoulli(self):
-        def build():
-            out = [QONE]
-            for n in range(1, self.cfg.n_max + 1):
-                row = binom_row(n + 1)
-                acc = QZERO
-                for j in range(n):
-                    acc = acc + row[j] * out[j]
-                out.append(-acc / row[n])
-            return out
-
-        return self._get(("classical_bernoulli",), build)
 
 
 # ---------------------------------------------------------------------------
 # checkers
 
 
+def _triangle_product(a, b, n_max):
+    """Rows of the lower-triangular product: entry (n, k) is
+    sum_{j=k}^{n} a(n, j) b(j, k)."""
+    return [
+        [
+            sum((a[n, j] * b[j, k] for j in range(k, n + 1)), QZERO)
+            for k in range(n + 1)
+        ]
+        for n in range(n_max + 1)
+    ]
+
+
+def _binomial_contraction(numbers, tri, n_max):
+    """Rows of the closed sides of THM5, THM7 and THM10: entry (n, k) is
+    sum_{l=k}^{n} C(n, l) numbers[n - l] T(l, k) for the triangle T."""
+    closed = []
+    for n in range(n_max + 1):
+        row = binom_row(n)
+        closed.append(
+            [
+                sum((row[l] * numbers[n - l] * tri[l, k] for l in range(k, n + 1)), QZERO)
+                for k in range(n + 1)
+            ]
+        )
+    return closed
+
+
 def _check_inverse_pair(points, first, second, n_max, lam=None, m=None, r=None):
     """Both products of the two triangles must be the identity."""
+    forward = _triangle_product(first, second, n_max)
+    reverse = _triangle_product(second, first, n_max)
     for n in range(n_max + 1):
         for k in range(n + 1):
             want = QONE if n == k else QZERO
-            fwd = sum(
-                (first[n, j] * second[j, k] for j in range(k, n + 1)),
-                QZERO,
-            )
-            bwd = sum(
-                (second[n, j] * first[j, k] for j in range(k, n + 1)),
-                QZERO,
-            )
             point = PointResult(n=n, lam=lam, m=m, k=k, r=r)
-            if fwd != want:
-                _fail(point, fwd, want, "forward product")
-            elif bwd != want:
-                _fail(point, bwd, want, "reverse product")
+            if forward[n][k] != want:
+                _fail(point, forward[n][k], want, "forward product")
+            elif reverse[n][k] != want:
+                _fail(point, reverse[n][k], want, "reverse product")
             points.append(point)
 
 
@@ -445,57 +352,73 @@ def _check_connection(points, source, target, closed, basis, expected, n_max, **
 
 
 def check_stirling_ortho(ws: _Workspace, cfg: SuiteConfig):
+    n_max = cfg.n_max
     points = []
-    _check_inverse_pair(points, ws.s1(), ws.s2(), cfg.n_max)
+    _check_inverse_pair(
+        points, ws(triangles.stirling1, n_max), ws(triangles.stirling2, n_max), n_max
+    )
     return points
 
 
 def check_deg_stirling_ortho(ws: _Workspace, cfg: SuiteConfig):
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        _check_inverse_pair(points, ws.s1deg(lam), ws.s2deg(lam), cfg.n_max, lam=lam)
+        _check_inverse_pair(
+            points, ws(triangles.degenerate_stirling1, n_max, lam),
+            ws(triangles.degenerate_stirling2, n_max, lam), n_max, lam=lam,
+        )
     return points
 
 
 def check_eq_1a_2a(ws: _Workspace, cfg: SuiteConfig):
+    n_max = cfg.n_max
     points = []
     for m in _M_VALUES:
-        _check_inverse_pair(points, ws.rw1(m, 1), ws.rw2(m, 1), cfg.n_max, m=m)
+        _check_inverse_pair(
+            points, ws(triangles.r_whitney1, n_max, m, 1),
+            ws(triangles.r_whitney2, n_max, m, 1), n_max, m=m,
+        )
     return points
 
 
 def check_eq_3a_4a(ws: _Workspace, cfg: SuiteConfig):
+    n_max = cfg.n_max
     points = []
     for m in _M_VALUES:
         for r in _R_VALUES:
             _check_inverse_pair(
-                points, ws.rw1(m, r), ws.rw2(m, r), cfg.n_max, m=m, r=r
+                points, ws(triangles.r_whitney1, n_max, m, r),
+                ws(triangles.r_whitney2, n_max, m, r), n_max, m=m, r=r,
             )
     return points
 
 
 def check_lemma1(ws: _Workspace, cfg: SuiteConfig):
     """Triangle-sum Bell polynomials against the composed series route."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        sum_side = ws.bell_polys(lam)
-        inner = ws.dexp1(lam) - 1
-        series = ws.dexp_sym(lam).compose(inner)
-        gf = [as_poly(series.a[n]) for n in range(cfg.n_max + 1)]
-        _check_rows(points, sum_side, gf, cfg.n_max, lam=lam)
+        # the last argument is limit_mode: a lam = 0 sample is the classical limit
+        inner = ws(kernels.degenerate_exp, QONE, lam, n_max, True) - 1
+        series = ws(kernels.degenerate_exp, PolyX.x(), lam, n_max, True).compose(inner)
+        gf = [as_poly(series.a[n]) for n in range(n_max + 1)]
+        _check_rows(points, ws.bell(lam), gf, n_max, lam=lam)
     return points
 
 
 def check_thm3_gf(ws: _Workspace, cfg: SuiteConfig):
     """Triangle-sum Dowling polynomials against the composed series route."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
         for m in _M_VALUES:
-            sum_side = ws.dowling_polys(m, lam)
-            inner = (ws.dexpm(m, lam) - 1) * Q(1, m)
-            series = ws.dexp1(lam) * ws.dexp_sym(lam).compose(inner)
-            gf = [as_poly(series.a[n]) for n in range(cfg.n_max + 1)]
-            _check_rows(points, sum_side, gf, cfg.n_max, lam=lam, m=m)
+            inner = (ws(kernels.degenerate_exp, Q(m), lam, n_max, True) - 1) * Q(1, m)
+            series = ws(kernels.degenerate_exp, QONE, lam, n_max, True) * ws(
+                kernels.degenerate_exp, PolyX.x(), lam, n_max, True
+            ).compose(inner)
+            gf = [as_poly(series.a[n]) for n in range(n_max + 1)]
+            _check_rows(points, ws.dowling(m, lam), gf, n_max, lam=lam, m=m)
     return points
 
 
@@ -524,7 +447,7 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
     """
     points = []
     for lam in cfg.samples():
-        polys = ws.bell_polys(lam)
+        polys = ws.bell(lam)
         for n in range(cfg.n_max + 1):
             row = binom_row(n)
             point = PointResult(n=n, lam=lam)
@@ -543,28 +466,17 @@ def check_eq25_addition(ws: _Workspace, cfg: SuiteConfig):
 def check_thm5(ws: _Workspace, cfg: SuiteConfig):
     """Bernoulli-to-Bell coefficients: binomial convolution of Bernoulli
     numbers with the first-kind triangle."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        s1d = ws.s1deg(lam)
-        numbers = ws.bernoulli_numbers(lam)
-        closed = []
-        for n in range(cfg.n_max + 1):
-            row = binom_row(n)
-            closed.append(
-                [
-                    sum(
-                        (
-                            row[l] * numbers[n - l] * s1d[l, k]
-                            for l in range(k, n + 1)
-                        ),
-                        QZERO,
-                    )
-                    for k in range(n + 1)
-                ]
-            )
+        bern = ws(families.degenerate_bernoulli_polys, n_max, lam)
+        closed = _binomial_contraction(
+            [p.coeff(0) for p in bern], ws(triangles.degenerate_stirling1, n_max, lam),
+            n_max,
+        )
         _check_connection(
             points, ws.pair(umbral.bernoulli_pair, lam), ws.pair(umbral.bell_pair, lam),
-            closed, ws.bell_polys(lam), ws.bernoulli_polys(lam), cfg.n_max, lam=lam,
+            closed, ws.bell(lam), bern, n_max, lam=lam,
         )
     return points
 
@@ -572,16 +484,15 @@ def check_thm5(ws: _Workspace, cfg: SuiteConfig):
 def check_thm6(ws: _Workspace, cfg: SuiteConfig):
     """Falling factorials expand in the Bell basis through the
     first-kind triangle itself."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        s1d = ws.s1deg(lam)
-        closed = [
-            [s1d[n, k] for k in range(n + 1)] for n in range(cfg.n_max + 1)
-        ]
-        falling = [ws.falling(n, lam) for n in range(cfg.n_max + 1)]
+        s1d = ws(triangles.degenerate_stirling1, n_max, lam)
+        closed = [list(row) for row in s1d.rows]
+        falling = [ws(kernels.lambda_falling, n, lam) for n in range(n_max + 1)]
         _check_connection(
             points, ws.pair(umbral.falling_pair, lam), ws.pair(umbral.bell_pair, lam),
-            closed, ws.bell_polys(lam), falling, cfg.n_max, lam=lam,
+            closed, ws.bell(lam), falling, n_max, lam=lam,
         )
     return points
 
@@ -589,31 +500,16 @@ def check_thm6(ws: _Workspace, cfg: SuiteConfig):
 def check_thm7(ws: _Workspace, cfg: SuiteConfig):
     """Polyexponential Bell to Bell: binomial convolution of the family's
     own constants with the first-kind triangle."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        s1d = ws.s1deg(lam)
-        bell = ws.bell_polys(lam)
+        s1d = ws(triangles.degenerate_stirling1, n_max, lam)
         for k_order in _K_VALUES:
-            polys = ws.polybell_polys(k_order, lam)
-            numbers = [p.coeff(0) for p in polys]
-            closed = []
-            for n in range(cfg.n_max + 1):
-                row = binom_row(n)
-                closed.append(
-                    [
-                        sum(
-                            (
-                                row[l] * s1d[l, j] * numbers[n - l]
-                                for l in range(j, n + 1)
-                            ),
-                            QZERO,
-                        )
-                        for j in range(n + 1)
-                    ]
-                )
+            polys = ws(families.degenerate_poly_bell_polys, n_max, k_order, lam)
+            closed = _binomial_contraction([p.coeff(0) for p in polys], s1d, n_max)
             _check_connection(
                 points, ws.pair(umbral.poly_bell_pair, k_order, lam),
-                ws.pair(umbral.bell_pair, lam), closed, bell, polys, cfg.n_max,
+                ws.pair(umbral.bell_pair, lam), closed, ws.bell(lam), polys, n_max,
                 lam=lam, k=k_order,
             )
     return points
@@ -626,20 +522,18 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
     second-kind triangle; higher coefficients are alternating double
     sums over evaluations of lower Bell polynomials at integers.
     """
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        s2d = ws.s2deg(lam)
-        numbers = ws.bernoulli_numbers(lam)
-        bell = ws.bell_polys(lam)
-        bell_at = [
-            [p(Q(l)) for l in range(cfg.n_max + 1)] for p in bell
+        s2d = ws(triangles.degenerate_stirling2, n_max, lam)
+        numbers = [
+            p.coeff(0) for p in ws(families.degenerate_bernoulli_polys, n_max, lam)
         ]
-        ones = [
-            kernels.lambda_falling_eval(QONE, d, lam)
-            for d in range(cfg.n_max + 1)
-        ]
+        bell = ws.bell(lam)
+        bell_at = [[p(Q(l)) for l in range(n_max + 1)] for p in bell]
+        ones = [kernels.lambda_falling_eval(QONE, d, lam) for d in range(n_max + 1)]
         closed = []
-        for n in range(cfg.n_max + 1):
+        for n in range(n_max + 1):
             rown = binom_row(n)
             row = [
                 sum((numbers[l] * s2d[n, l] for l in range(n + 1)), QZERO)
@@ -660,8 +554,8 @@ def check_thm8(ws: _Workspace, cfg: SuiteConfig):
             closed.append(row)
         _check_connection(
             points, ws.pair(umbral.bell_pair, lam),
-            ws.pair(umbral.bernoulli2_pair, lam), closed, ws.bernoulli2_polys(lam),
-            bell, cfg.n_max, lam=lam,
+            ws.pair(umbral.bernoulli2_pair, lam), closed,
+            ws(families.degenerate_bernoulli2_polys, n_max, lam), bell, n_max, lam=lam,
         )
     return points
 
@@ -687,16 +581,14 @@ def check_thm9_roundtrip(ws: _Workspace, cfg: SuiteConfig):
     for lam in cfg.samples():
         # the falling factorial, the monomial and the random polynomial
         test_polys = [
-            (ws.falling(n, lam), PolyX.monomial(n), randoms[n])
+            (ws(kernels.lambda_falling, n, lam), PolyX.monomial(n), randoms[n])
             for n in range(cfg.n_max + 1)
         ]
-        bell = ws.bell_polys(lam)
-        bell_pair = ws.pair(umbral.bell_pair, lam)
         for m in _M_VALUES:
             bases = (
-                ("bell basis", bell_pair, bell),
+                ("bell basis", ws.pair(umbral.bell_pair, lam), ws.bell(lam)),
                 ("dowling basis", ws.pair(umbral.dowling_pair, m, lam),
-                 ws.dowling_polys(m, lam)),
+                 ws.dowling(m, lam)),
             )
             for n in range(cfg.n_max + 1):
                 point = PointResult(n=n, lam=lam, m=m)
@@ -711,42 +603,45 @@ def check_thm9_roundtrip(ws: _Workspace, cfg: SuiteConfig):
 
 def check_thm10(ws: _Workspace, cfg: SuiteConfig):
     """Bernoulli polynomials in the Dowling basis: the quadruple sum over
-    both Stirling kinds at two deformation scales."""
+    both Stirling kinds at two deformation scales.
+
+    The inner (j, i) double sum does not depend on n, so it is built once
+    per (lam, m) as the triangle
+    T(l, k) = sum_j C(l, j) S1_{lam/m}(j, k) sum_i (-1)^i m^(l-k-i) S1(l-j, i)
+    and contracted like THM5's.
+    """
+    n_max = cfg.n_max
     points = []
+    s1c = ws(triangles.stirling1, n_max)
     for lam in cfg.samples():
-        numbers = ws.bernoulli_numbers(lam)
-        bern = ws.bernoulli_polys(lam)
-        s1c = ws.s1()
+        bern = ws(families.degenerate_bernoulli_polys, n_max, lam)
+        numbers = [p.coeff(0) for p in bern]
         for m in _M_VALUES:
-            s1dm = ws.s1deg(Q(lam) / m)
-            closed = []
-            for n in range(cfg.n_max + 1):
-                rown = binom_row(n)
+            s1dm = ws(triangles.degenerate_stirling1, n_max, Q(lam) / m)
+            inner = []
+            for l in range(n_max + 1):
+                rowl = binom_row(l)
                 row = []
-                for k in range(n + 1):
+                for k in range(l + 1):
                     acc = QZERO
-                    for l in range(n + 1):
-                        rowl = binom_row(l)
-                        outer = rown[l] * numbers[n - l]
-                        if not outer:
+                    for j in range(k, l + 1):
+                        s1v = s1dm[j, k]
+                        if not s1v:
                             continue
-                        for j in range(k, l + 1):
-                            s1v = s1dm[j, k]
-                            if not s1v:
+                        base = rowl[j] * s1v
+                        for i in range(l - j + 1):
+                            s1cv = s1c[l - j, i]
+                            if not s1cv:
                                 continue
-                            base = outer * rowl[j] * s1v
-                            for i in range(l - j + 1):
-                                s1cv = s1c[l - j, i]
-                                if not s1cv:
-                                    continue
-                                term = base * Q(m) ** (l - k - i) * s1cv
-                                acc = acc - term if i % 2 else acc + term
+                            term = base * Q(m) ** (l - k - i) * s1cv
+                            acc = acc - term if i % 2 else acc + term
                     row.append(acc)
-                closed.append(row)
+                inner.append(row)
+            closed = _binomial_contraction(numbers, Triangle(inner), n_max)
             _check_connection(
                 points, ws.pair(umbral.bernoulli_pair, lam),
-                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling_polys(m, lam),
-                bern, cfg.n_max, lam=lam, m=m,
+                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling(m, lam),
+                bern, n_max, lam=lam, m=m,
             )
     return points
 
@@ -754,26 +649,18 @@ def check_thm10(ws: _Workspace, cfg: SuiteConfig):
 def check_thm11(ws: _Workspace, cfg: SuiteConfig):
     """Dowling polynomials in the Bell basis: first-kind triangle
     contracted against the Whitney triangle."""
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        s1d = ws.s1deg(lam)
-        bell = ws.bell_polys(lam)
+        s1d = ws(triangles.degenerate_stirling1, n_max, lam)
         for m in _M_VALUES:
-            wd = ws.wdeg(m, lam)
-            closed = [
-                [
-                    sum(
-                        (s1d[j, k] * wd[n, j] for j in range(k, n + 1)),
-                        QZERO,
-                    )
-                    for k in range(n + 1)
-                ]
-                for n in range(cfg.n_max + 1)
-            ]
+            closed = _triangle_product(
+                ws(triangles.degenerate_whitney2, n_max, m, lam), s1d, n_max
+            )
             _check_connection(
                 points, ws.pair(umbral.dowling_pair, m, lam),
-                ws.pair(umbral.bell_pair, lam), closed, bell, ws.dowling_polys(m, lam),
-                cfg.n_max, lam=lam, m=m,
+                ws.pair(umbral.bell_pair, lam), closed, ws.bell(lam),
+                ws.dowling(m, lam), n_max, lam=lam, m=m,
             )
     return points
 
@@ -796,7 +683,7 @@ def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
             row = binom_row(n)
             closed.append([row[k] * minus_one[n - k] for k in range(n + 1)])
         for m in _M_VALUES:
-            rescaled = ws.bell_polys(Q(lam) / m)
+            rescaled = ws.bell(Q(lam) / m)
             sub = PolyX((QZERO, Q(1, m)))
             expected = [
                 Q(m) ** n * as_poly(rescaled[n](sub))
@@ -804,35 +691,46 @@ def check_eq56_closing(ws: _Workspace, cfg: SuiteConfig):
             ]
             _check_connection(
                 points, ws.pair(umbral.rescaled_bell_pair, m, lam),
-                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling_polys(m, lam),
+                ws.pair(umbral.dowling_pair, m, lam), closed, ws.dowling(m, lam),
                 expected, cfg.n_max, lam=lam, m=m,
             )
     return points
 
 
 def check_polybell_k1(ws: _Workspace, cfg: SuiteConfig):
+    n_max = cfg.n_max
     points = []
     for lam in cfg.samples():
-        bern = ws.bernoulli_polys(lam)
-        poly1 = ws.polybell_polys(1, lam)
-        _check_rows(points, poly1, bern, cfg.n_max, lam=lam, k=1)
+        _check_rows(
+            points, ws(families.degenerate_poly_bell_polys, n_max, 1, lam),
+            ws(families.degenerate_bernoulli_polys, n_max, lam), n_max, lam=lam, k=1,
+        )
     return points
 
 
 def check_limit_suite(ws: _Workspace, cfg: SuiteConfig):
     """lam = 0 must reproduce the classical world, checked against
     independent classical constructions and brute-force counts."""
+    n_max = cfg.n_max
     points = []
     zero = QZERO
-    s1c, s2c = ws.s1(), ws.s2()
-    s1z, s2z = ws.s1deg(zero), ws.s2deg(zero)
-    bell0 = ws.bell_polys(zero)
-    b2 = ws.bernoulli2_polys(zero)
-    bern0 = ws.bernoulli_numbers(zero)
-    classical = ws.classical_bernoulli()
-    poly1 = ws.polybell_polys(1, zero)
-    enum_cap = min(cfg.n_max, _ENUMERATION_CAP)
-    for n in range(cfg.n_max + 1):
+    s1c, s2c = ws(triangles.stirling1, n_max), ws(triangles.stirling2, n_max)
+    s1z = ws(triangles.degenerate_stirling1, n_max, zero)
+    s2z = ws(triangles.degenerate_stirling2, n_max, zero)
+    bell0 = ws.bell(zero)
+    b2 = ws(families.degenerate_bernoulli2_polys, n_max, zero)
+    bern0 = [p.coeff(0) for p in ws(families.degenerate_bernoulli_polys, n_max, zero)]
+    poly1 = ws(families.degenerate_poly_bell_polys, n_max, 1, zero)
+    classical = [QONE]
+    for n in range(1, n_max + 1):
+        row = binom_row(n + 1)
+        acc = sum((row[j] * classical[j] for j in range(n)), QZERO)
+        classical.append(-acc / row[n])
+    enum_cap = min(n_max, _ENUMERATION_CAP)
+    bell_numbers = [
+        sum(1 for _ in triangles.set_partitions(range(n))) for n in range(enum_cap + 2)
+    ]
+    for n in range(n_max + 1):
         point = PointResult(n=n)
         checks = []
         if s1z.row(n) != s1c.row(n):
@@ -840,19 +738,17 @@ def check_limit_suite(ws: _Workspace, cfg: SuiteConfig):
         if s2z.row(n) != s2c.row(n):
             checks.append(("second-kind row", PolyX(s2z.row(n)), PolyX(s2c.row(n))))
         for m in _M_VALUES:
-            if ws.wdeg(m, zero).row(n) != ws.rw2(m, 1).row(n):
+            whitney = ws(triangles.degenerate_whitney2, n_max, m, zero).row(n)
+            classical_whitney = ws(triangles.r_whitney2, n_max, m, 1).row(n)
+            if whitney != classical_whitney:
                 checks.append(
-                    (
-                        "whitney row m=%d" % m,
-                        PolyX(ws.wdeg(m, zero).row(n)),
-                        PolyX(ws.rw2(m, 1).row(n)),
-                    )
+                    ("whitney row m=%d" % m, PolyX(whitney), PolyX(classical_whitney))
                 )
         if n <= enum_cap:
-            counted = ws.bell_number(n)
+            counted = bell_numbers[n]
             if bell0[n](QONE) != counted:
                 checks.append(("bell count", bell0[n](QONE), Q(counted)))
-            counted = ws.bell_number(n + 1)
+            counted = bell_numbers[n + 1]
             dowling_at_one = families.degenerate_dowling(n, 1, zero)(QONE)
             if dowling_at_one != counted:
                 checks.append(("dowling shift count", dowling_at_one, Q(counted)))
@@ -880,7 +776,7 @@ def check_whitney_oracle(ws: _Workspace, cfg: SuiteConfig):
     points = []
     for r in _R_VALUES:
         for m in _M_VALUES:
-            tri = ws.rw2(m, r)
+            tri = ws(triangles.r_whitney2, cfg.n_max, m, r)
             for n in range(min(cfg.n_max, _ENUMERATION_CAP - r) + 1):
                 for k in range(n + 1):
                     point = PointResult(n=n, m=m, k=k, r=r)
@@ -966,7 +862,7 @@ def verify(
     """Run one identity's checker over its grid and report."""
     identity = _as_identity(identity)
     cfg = SuiteConfig(n_max=n_max, lambda_samples=lambda_samples, seed=seed)
-    ws = _Workspace(cfg)
+    ws = _Workspace(cfg.n_max)
     points = _CHECKERS[identity](ws, cfg)
     return _build_report(identity, cfg, points)
 
@@ -974,7 +870,7 @@ def verify(
 def run_full_suite(config: SuiteConfig | None = None) -> list:
     """All identities in declaration order, sharing one workspace."""
     cfg = config or SuiteConfig()
-    ws = _Workspace(cfg)
+    ws = _Workspace(cfg.n_max)
     return [
         _build_report(identity, cfg, _CHECKERS[identity](ws, cfg))
         for identity in IdentityId

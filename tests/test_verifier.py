@@ -124,6 +124,12 @@ def test_an_empty_grid_is_refused():
         verify("LEMMA1", n_max=2, lambda_samples=())
     with pytest.raises(ValueError):
         SuiteConfig(lambda_samples=())
+    # a negative size has no grid points, so it must not certify either
+    for tag in ("LEMMA1", "THM10", "THM2_DOBINSKI"):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            verify(tag, n_max=-1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        SuiteConfig(n_max=-1)
     # the m, k and r grids are fixed, so no caller can empty them either
     with pytest.raises(TypeError):
         verify("EQ_3A_4A_ORTHO", m_values=())
@@ -178,6 +184,22 @@ def test_fault_injection_is_caught(monkeypatch):
     # the corruption also breaks downstream identities that reuse the triangle
     assert not verify("THM6", n_max=5).passed
     assert not verify("THM8", n_max=5).passed
+    monkeypatch.undo()
+
+    # the same fault in the first-kind triangle reaches every closed side
+    # built from it, and no identity that never reads it
+    monkeypatch.setattr(
+        triangles,
+        "degenerate_stirling1",
+        _corrupting(triangles.degenerate_stirling1, 3, 1),
+    )
+    for tag in ("THM5", "THM6", "THM7", "THM10", "THM11", "DEG_STIRLING_ORTHO"):
+        report = verify(tag, n_max=4)
+        assert not report.passed, tag
+        assert report.witness["n"] == 3, tag
+        assert report.witness["detail"], tag
+    for tag in ("LEMMA1", "THM8"):
+        assert verify(tag, n_max=4).passed, tag
 
 
 def test_fault_injection_in_whitney_is_caught(monkeypatch):
@@ -306,6 +328,31 @@ def test_pair_fault_matrix(monkeypatch, ctor, series):
             assert report.witness["detail"], tag
             failed.add(tag)
     assert failed == set(_PAIR_CONSUMERS[ctor])
+
+
+def test_the_workspace_builds_each_input_once(monkeypatch):
+    builds = {}
+    for module, name in (
+        (triangles, "degenerate_stirling1"),
+        (families, "degenerate_bernoulli_polys"),
+        (umbral, "bell_pair"),
+        (umbral, "dowling_pair"),
+    ):
+        calls = builds[name] = []
+
+        def counting(*args, _build=getattr(module, name), _calls=calls):
+            _calls.append(args)
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run_full_suite(SuiteConfig(n_max=2, lambda_samples=(Q(1, 7), Q(-1, 3))))
+    # lam and lam/m for m = 1, 2, 3 at both samples, plus lam = 0
+    assert len(builds["degenerate_stirling1"]) == 7
+    assert len(builds["degenerate_bernoulli_polys"]) == 3
+    assert len(builds["bell_pair"]) == 2
+    assert len(builds["dowling_pair"]) == 6
+    for name, calls in builds.items():
+        assert len(set(calls)) == len(calls), name
 
 
 def test_thm9_draws_its_random_polynomials_once_per_run(monkeypatch):
