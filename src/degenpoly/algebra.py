@@ -26,7 +26,16 @@ output coefficient is rebuilt once as a reduced rational.  Composition is
 Horner evaluation of sum_k f.a[k]/k! g^k in the truncated ring (exact
 because the inner series has positive order), and the compositional
 inverse comes from Lagrange inversion, (f^-1).a[n] = ((t/f)^n).a[n - 1],
-so it costs cap - 1 products and no composition.
+so it costs cap - 1 products and no composition.  The reciprocal solves
+a * (1/a) = 1 on the integer numerators of a, with powers of the
+constant term's numerator as denominators.
+
+The exponential Riordan array [lead, base], T(n, k) = (lead base^k /
+k!).a[n], is one integer kernel too (_riordan_columns): each column is a
+list of integer numerators over one denominator, the next column is one
+binomial convolution with base's numerators, and k! sits in the column
+denominator.  Every deformed triangle and every Sheffer or probe array
+of the package is such an array.
 
 The change of basis into the generalized falling basis x (x - lam) ..
 (x - (n-1) lam) runs on integers too.  With lam = a/b the substitution
@@ -39,7 +48,7 @@ falling table.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from .rationals import Q, QONE, QZERO
@@ -476,20 +485,32 @@ class EgfSeries:
         return EgfSeries._raw(tuple(coeffs))
 
     def reciprocal(self) -> "EgfSeries":
-        """Multiplicative inverse; the constant term must be a nonzero scalar."""
+        """Multiplicative inverse; the coefficients must be scalars and the
+        constant term nonzero.
+
+        Computed on integers: with a = A / D (_scalar_row), 1/a = D (1/A),
+        and (1/A).a[n] = C_n / A_0^(n+1) with C_0 = 1 and
+        C_n = -sum_{j=1..n} C(n, j) A_j A_0^(j-1) C_(n-j).
+        """
         a0 = self._a[0]
         if isinstance(a0, PolyX) or not a0:
             raise ValueError("not invertible: constant term must be a nonzero scalar")
-        inv0 = QONE / a0
-        out = [inv0]
-        a = self._a
-        for n in range(1, len(a)):
+        nums, den = _scalar_row(self._a)
+        head = nums[0]
+        weights = [0]  # weights[j] = A_j A_0^(j-1)
+        power = 1
+        for v in nums[1:]:
+            weights.append(v * power)
+            power *= head
+        c = [1]
+        for n in range(1, len(nums)):
             row = binom_row(n)
-            s = QZERO
-            for j in range(1, n + 1):
-                if a[j] and out[n - j]:
-                    s = s + row[j] * a[j] * out[n - j]
-            out.append(-inv0 * s)
+            c.append(-sum(row[j] * weights[j] * c[n - j] for j in range(1, n + 1)))
+        out = []
+        power = head
+        for v in c:
+            out.append(Q(v * den, power) if v else QZERO)
+            power *= head
         return EgfSeries._raw(tuple(out))
 
     def shift_down(self) -> "EgfSeries":
@@ -537,26 +558,24 @@ def to_lambda_falling_basis(p: PolyX, lam) -> list:
     expanded.  Returns a list of reduced rationals of length deg(p) + 1
     (empty for the zero polynomial).
     """
-    nums, den = _falling_numerators(p, lam)
+    nums, den = _falling_numerators(*_integer_row(p.coeffs), lam)
     return [Q(s, den) if s else QZERO for s in nums]
 
 
-def _falling_numerators(p: PolyX, lam) -> tuple:
-    """p in the generalized falling basis as (integer numerators, one
-    denominator).
+def _falling_numerators(nums: list, den: int, lam) -> tuple:
+    """The polynomial sum_i nums[i] x^i / den in the generalized falling
+    basis, as (integer numerators, one denominator).
 
     With lam = a/b and x = y/b, the degree-k basis polynomial is b^-k
     times y (y - a) .. (y - (k-1) a).  The integer polynomial
-    P(y) = den b^n p(y/b), den from _integer_row and n = deg(p), is
-    divided by y - j a for j = 0, 1, .. in turn; remainder k is the
-    coordinate B_k of P in the integer-node basis, so p's coordinate k is
-    B_k b^k / (den b^n).
+    P(y) = den b^n p(y/b), n = len(nums) - 1, is divided by y - j a for
+    j = 0, 1, .. in turn; remainder k is the coordinate B_k of P in the
+    integer-node basis, so p's coordinate k is B_k b^k / (den b^n).
     """
-    if not p.coeffs:
-        return [], 1
+    if not nums:
+        return [], den
     lam = Q(lam)
     a, b = lam.numerator, lam.denominator
-    nums, den = _integer_row(p.coeffs)
     n = len(nums) - 1
     powers = [1]
     for _ in range(n):
@@ -575,10 +594,10 @@ def lambda_falling_table(lam, n_max: int) -> tuple:
     """The generalized falling basis through degree n_max, on integers.
 
     F(k, i) is the x^i coefficient of x (x - lam) .. (x - (k-1) lam).
-    The table comes as _integer_columns: column i holds the numerators
-    of F(i, i) .. F(n_max, i), all over q^n_max with lam = p/q, so a row
-    of falling-basis coordinates times it (_times_columns) is the same
-    polynomial in the monomial basis.
+    The table comes in the column form of _riordan_columns: column i
+    holds the numerators of F(i, i) .. F(n_max, i), all over q^n_max with
+    lam = p/q, so a row of falling-basis coordinates times it
+    (_times_columns) is the same polynomial in the monomial basis.
     """
     lam = Q(lam)
     p, q = lam.numerator, lam.denominator
@@ -609,19 +628,56 @@ def _integer_row(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_columns(tri: Triangle) -> tuple:
-    """Column k of a triangle as _integer_row of T(k, k) .. T(n_max, k)."""
-    n_max = tri.n_max
-    return tuple(
-        _integer_row([tri[n, k] for n in range(k, n_max + 1)])
-        for k in range(n_max + 1)
-    )
+def _scalar_row(values) -> tuple:
+    """_integer_row of series coefficients that must all be scalars."""
+    if any(isinstance(v, PolyX) for v in values):
+        raise ValueError("series coefficients must be scalars, not PolyX")
+    return _integer_row(values)
+
+
+def _riordan_columns(n_max: int, base: EgfSeries, lead=None) -> tuple:
+    """The exponential Riordan array [lead, base] through row n_max, as
+    columns of integer numerators over one denominator each.
+
+    Column k is (numerators of T(k, k) .. T(n_max, k), den_k) with
+    T(n, k) = (lead base^k / k!).a[n]; lead defaults to 1.  Column k + 1
+    is the binomial convolution of column k's numerators with base's, over
+    den_k times base's denominator times k + 1, reduced by one gcd.  The
+    array must be lower triangular (base of order >= 1 guarantees it); an
+    entry above the diagonal raises ValueError naming it, as do PolyX
+    coefficients and caps that differ or stop short of n_max.
+    """
+    if lead is None:
+        lead = EgfSeries.one(n_max)
+    if n_max:
+        lead._match(base)
+    size = n_max + 1
+    if len(base._a) < size:
+        raise ValueError("cap %d cannot give row %d" % (base.order_cap, n_max))
+    b, b_den = _scalar_row(base._a[:size])
+    col, den = _scalar_row(lead._a[:size])
+    columns = []
+    for k in range(size):
+        for n in range(k):
+            if col[n]:
+                raise ValueError(
+                    "Riordan array not triangular at (n, k) = (%d, %d)" % (n, k)
+                )
+        columns.append((col[k:], den))
+        if k < n_max:
+            col = _binomial_convolution(col, b)
+            den *= b_den * (k + 1)
+            g = gcd(den, *col)
+            if g > 1:
+                col = [v // g for v in col]
+                den //= g
+    return tuple(columns)
 
 
 def _times_columns(values, columns: tuple) -> list:
-    """Rational row vector times a lower-triangular array given by
-    _integer_columns; entry k is sum_{j >= k} values[j] T(j, k), and the
-    result is as long as values."""
+    """Rational row vector times a lower-triangular array given in the
+    column form of _riordan_columns; entry k is
+    sum_{j >= k} values[j] T(j, k), and the result is as long as values."""
     return _integer_times_columns(*_integer_row(values), columns)
 
 
@@ -656,6 +712,13 @@ class Triangle:
         if not packed:
             raise ValueError("a triangle has at least row 0")
         self._rows = tuple(packed)
+
+    @classmethod
+    def _raw(cls, rows: tuple) -> "Triangle":
+        # trusted fast path: rows already exact tuples of the right lengths
+        t = object.__new__(cls)
+        t._rows = rows
+        return t
 
     @property
     def rows(self) -> tuple:

@@ -2,11 +2,14 @@
 
 Series-side constructors read triangle columns off powers of a base
 series: column k of the triangle is the EGF coefficient row of
-base^k / k!.  Basis-side constructors (the r-parameterized Whitney pair)
-come from exact triangular solves between the monomial, falling
-factorial, and shifted-monomial bases; no two-term recurrence is used
-anywhere here, which keeps the two Whitney routes independent of each
-other (and of the recurrence oracles in the tests) for cross-checking.
+base^k / k!, computed by the integer kernel algebra._riordan_columns.
+Basis-side constructors (the r-parameterized Whitney pair and the
+classical first kind) come from exact triangular solves between the
+monomial, falling factorial, and shifted-monomial bases, run on integer
+coefficient lists; no two-term recurrence is used anywhere here, which
+keeps the two Whitney routes independent of each other (and of the
+recurrence oracles in the tests) for cross-checking.  Every entry is
+built once as a reduced rational.
 
 The combinatorial oracle ``enumerate_colored_partitions`` counts colored
 set partitions directly and is deliberately brute force; it exists to
@@ -21,7 +24,8 @@ from .algebra import (
     EgfSeries,
     PolyX,
     Triangle,
-    factorial,
+    _falling_numerators,
+    _riordan_columns,
     to_lambda_falling_basis,
 )
 from .rationals import Q, QONE, QZERO
@@ -31,27 +35,23 @@ def column_power_triangle(n_max: int, base: EgfSeries, lead=None) -> Triangle:
     """The exponential Riordan array [lead, base]: T(n, k) = a[n] of
     lead * base^k / k! (lead defaults to 1).
 
-    The array must be lower triangular, which base of order >= 1
-    guarantees; an entry above the diagonal raises ValueError naming it.
-    The deformed Stirling and Whitney triangles here and every array of
-    the umbral module (a pair's Sheffer and probe arrays, connection
-    coefficients) are built by it.
+    The columns come from the integer kernel algebra._riordan_columns,
+    and each entry is built once as a reduced rational.  The array must
+    be lower triangular, which base of order >= 1 guarantees; an entry
+    above the diagonal raises ValueError naming it, and so does a PolyX
+    coefficient.  The deformed Stirling and Whitney triangles here and a
+    pair's Sheffer array in the umbral module are built by it.
     """
-    col = EgfSeries.one(n_max) if lead is None else lead
-    cols = [col]
-    for _ in range(n_max):
-        col = col * base
-        cols.append(col)
-    for k, col in enumerate(cols):
-        for n in range(k):
-            if col.a[n]:
-                raise ValueError(
-                    "Riordan array not triangular at (n, k) = (%d, %d)" % (n, k)
-                )
-    rows = []
-    for n in range(n_max + 1):
-        rows.append([cols[k].a[n] / factorial(k) for k in range(n + 1)])
-    return Triangle(rows)
+    columns = [
+        [Q(v, den) if v else QZERO for v in col]
+        for col, den in _riordan_columns(n_max, base, lead)
+    ]
+    return Triangle._raw(
+        tuple(
+            tuple(columns[k][n - k] for k in range(n + 1))
+            for n in range(n_max + 1)
+        )
+    )
 
 
 def _check_n_max(n_max: int):
@@ -59,17 +59,32 @@ def _check_n_max(n_max: int):
         raise ValueError("n_max must be >= 0")
 
 
+def _check_m_r(m: int, r: int):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+
+
+def _rationals(nums) -> tuple:
+    return tuple(Q(v) if v else QZERO for v in nums)
+
+
+def _times_linear(p: list, c0: int, c1: int) -> list:
+    """The integer coefficient list p times c1 x + c0."""
+    return [c0 * u + c1 * v for u, v in zip(p + [0], [0] + p)]
+
+
 def stirling1(n_max: int) -> Triangle:
     """Signed Stirling numbers of the first kind: coefficients of the
-    falling factorial in the monomial basis."""
+    falling factorial in the monomial basis, multiplied out on integers."""
     _check_n_max(n_max)
     rows = []
-    p = PolyX.one()
-    x = PolyX.x()
+    fall = [1]
     for n in range(n_max + 1):
-        rows.append([p.coeff(k) for k in range(n + 1)])
-        p = p * (x - n)
-    return Triangle(rows)
+        rows.append(_rationals(fall))
+        fall = _times_linear(fall, -n, 1)
+    return Triangle._raw(tuple(rows))
 
 
 def stirling2(n_max: int) -> Triangle:
@@ -109,58 +124,56 @@ def degenerate_whitney2(n_max: int, m: int, lam) -> Triangle:
 
 
 def r_whitney2(n_max: int, m: int, r: int) -> Triangle:
-    """W(n, k) defined by (m x + r)^n = sum_k W(n, k) m^k (x)_k,
-    via the exact falling-factorial basis solve."""
+    """W(n, k) defined by (m x + r)^n = sum_k W(n, k) m^k (x)_k.
+
+    The integer coefficients of (m x + r)^n go through the synthetic
+    division algebra._falling_numerators at lam = 1, and coordinate k is
+    divided by m^k once, as the entry is built.
+    """
     _check_n_max(n_max)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    shifted = m * PolyX.x() + r
+    _check_m_r(m, r)
     rows = []
-    p = PolyX.one()
+    p = [1]
     for n in range(n_max + 1):
-        q = to_lambda_falling_basis(p, QONE)
-        q = q + [QZERO] * (n + 1 - len(q))
-        mk = QONE
-        row = []
-        for k in range(n + 1):
-            row.append(q[k] / mk)
-            mk = mk * m
-        rows.append(row)
-        p = p * shifted
-    return Triangle(rows)
+        nums, den = _falling_numerators(p, 1, QONE)
+        rows.append(
+            tuple(Q(v, den * m**k) if v else QZERO for k, v in enumerate(nums))
+        )
+        p = _times_linear(p, r, m)
+    return Triangle._raw(tuple(rows))
 
 
 def r_whitney1(n_max: int, m: int, r: int) -> Triangle:
-    """V(n, k) defined by m^n (x)_n = sum_k V(n, k) (m x + r)^k,
-    via remainder elimination against the shifted-monomial basis."""
+    """V(n, k) defined by m^n (x)_n = sum_k V(n, k) (m x + r)^k.
+
+    Remainder elimination on integer coefficient lists: from the top
+    degree k = n down, V(n, k) is the x^k coefficient of what is left
+    divided by m^k, the leading coefficient of (m x + r)^k, and that
+    power is subtracted.  The division is exact; a remainder raises.
+    """
     _check_n_max(n_max)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    shifted = m * PolyX.x() + r
-    shifted_pows = [PolyX.one()]
+    _check_m_r(m, r)
+    shifted_pows = [[1]]
     for _ in range(n_max):
-        shifted_pows.append(shifted_pows[-1] * shifted)
+        shifted_pows.append(_times_linear(shifted_pows[-1], r, m))
     rows = []
-    fall = PolyX.one()
-    mn = QONE
+    fall = [1]
     for n in range(n_max + 1):
-        p = mn * fall
-        row = [QZERO] * (n + 1)
+        p = [m**n * v for v in fall]
+        row = [0] * (n + 1)
         for k in range(n, -1, -1):
-            c = p.coeff(k) / (Q(m) ** k)
-            row[k] = c
+            c, rem = divmod(p[k], m**k)
+            if rem:
+                raise AssertionError(
+                    "shifted-basis solve is not integral at (n, k) = (%d, %d)"
+                    % (n, k)
+                )
             if c:
-                p = p - c * shifted_pows[k]
-        if p:
-            raise AssertionError("shifted-basis solve left a remainder")
-        rows.append(row)
-        fall = fall * (PolyX.x() - n)
-        mn = mn * m
-    return Triangle(rows)
+                row[k] = c
+                p[: k + 1] = [u - c * v for u, v in zip(p, shifted_pows[k])]
+        rows.append(_rationals(row))
+        fall = _times_linear(fall, -n, 1)
+    return Triangle._raw(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,22 @@ sequence s_n, characterized by
 
     <g f^k | s_n> = n! delta_{n,k}.
 
-Every array here is an exponential Riordan array built by
-``triangles.column_power_triangle``.  A pair builds two of them once
+Every array here is an exponential Riordan array built by the integer
+kernel ``algebra._riordan_columns``.  A pair builds two of them once
 (lazily) and caches them:
 
 * the Sheffer array S = [1/g(fbar), fbar], fbar the compositional
-  inverse of f.  Row n holds s_n in the falling basis, because the
-  generating series of the sequence is (1/g(fbar)) e^x(fbar) and the
-  deformed exponential e^x has the falling basis as its coefficients.
+  inverse of f, as a Triangle (``triangles.column_power_triangle``).
+  Row n holds s_n in the falling basis, because the generating series
+  of the sequence is (1/g(fbar)) e^x(fbar) and the deformed exponential
+  e^x has the falling basis as its coefficients.
   ``sheffer_generate`` reads its rows against the integer falling table
   ``algebra.lambda_falling_table`` to get monomial coefficients.
-* the probe array P = [g, f], P(j, k) = (g f^k / k!).a[j], kept as
-  integer numerators over one denominator per column.  A polynomial with
-  falling-basis row q has coordinates q P against the sequence, so
-  ``expand_in_basis`` is one integer matrix-vector product, fed by the
-  integer synthetic division ``algebra._falling_numerators``.
+* the probe array P = [g, f], P(j, k) = (g f^k / k!).a[j], kept as the
+  kernel's columns: integer numerators over one denominator per column.
+  A polynomial with falling-basis row q has coordinates q P against the
+  sequence, so ``expand_in_basis`` is one integer matrix-vector product,
+  fed by the integer synthetic division ``algebra._falling_numerators``.
 
 The way back, ``combine_basis``, is one integer linear combination of the
 basis polynomials' numerator rows.
@@ -50,9 +51,9 @@ from .algebra import (
     PolyX,
     Triangle,
     _falling_numerators,
-    _integer_columns,
     _integer_row,
     _integer_times_columns,
+    _riordan_columns,
     _times_columns,
     binomial_series,
     from_lambda_falling_basis,
@@ -103,10 +104,10 @@ class ShefferPair:
 
     @cached_property
     def probe_array(self) -> tuple:
-        """P(j, k) = (g f^k / k!).a[j], as _integer_columns: column k
+        """P(j, k) = (g f^k / k!).a[j], as _riordan_columns: column k
         holds the numerators of P(k, k) .. P(cap, k) and their one
         denominator."""
-        return _integer_columns(column_power_triangle(self.order_cap, self.f, self.g))
+        return _riordan_columns(self.order_cap, self.f, self.g)
 
 
 def pair_functional(series: EgfSeries, p: PolyX, lam):
@@ -207,7 +208,7 @@ def expand_in_basis(p: PolyX, target: ShefferPair) -> list:
             "pair cap %d cannot expand degree %d"
             % (target.order_cap, p.degree)
         )
-    nums, den = _falling_numerators(p, target.lam)
+    nums, den = _falling_numerators(*_integer_row(p.coeffs), target.lam)
     return _integer_times_columns(nums, den, target.probe_array)
 
 

@@ -384,3 +384,56 @@ def test_comp_inverse_makes_no_compositions(monkeypatch):
     f = lambda_log_series(Q(1, 3), 4)
     f.compose(f)
     assert calls == [4]
+
+
+# ---------------------------------------------------------------------------
+# integer reciprocal
+
+
+def fraction_reciprocal(f):
+    """Reference reciprocal: the recurrence a * b = 1 solved term by term
+    in rationals."""
+    a = f.a
+    inv0 = QONE / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        s = QZERO
+        for j in range(1, n + 1):
+            if a[j] and out[n - j]:
+                s = s + comb(n, j) * a[j] * out[n - j]
+        out.append(-inv0 * s)
+    return out
+
+
+@pytest.mark.parametrize("lam", [Q(1, 3), Q(-2, 5), QZERO, Q(5, 4), Q(12, 13)])
+def test_reciprocal_matches_the_fraction_recurrence(lam):
+    rng = random.Random("reciprocal:%s" % lam)
+    for cap in range(25):
+        head = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        cases = [
+            EgfSeries(cap, [head] + [rand_sparse_q(rng) for _ in range(cap)]),
+            EgfSeries(cap, [head]),
+            degenerate_exp(QONE, lam, cap, limit_mode=True),
+            (degenerate_exp(Q(2), lam, cap + 1, limit_mode=True) - 1).shift_down(),
+            lambda_log_series(lam, cap + 1, limit_mode=True).shift_down() * head,
+        ]
+        for f in cases:
+            inv = f.reciprocal()
+            assert inv.order_cap == cap
+            assert_same_coefficients(inv.a, fraction_reciprocal(f))
+            assert all(type(v) is type(QZERO) for v in inv.a)
+
+
+def test_reciprocal_refuses_polyx_and_zero_constants():
+    x = PolyX.x()
+    with pytest.raises(ValueError, match="constant term"):
+        EgfSeries(3, [x, QONE]).reciprocal()
+    with pytest.raises(ValueError, match="constant term"):
+        EgfSeries(3, [PolyX.one()]).reciprocal()
+    with pytest.raises(ValueError, match="constant term"):
+        EgfSeries(3, [QZERO, QONE]).reciprocal()
+    # a symbolic coefficient past the constant term is refused too
+    with pytest.raises(ValueError, match="scalars"):
+        EgfSeries(3, [QONE, QZERO, x]).reciprocal()
+    with pytest.raises(ValueError, match="scalars"):
+        EgfSeries(3, [QONE, PolyX.constant(2)]).reciprocal()

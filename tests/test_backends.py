@@ -1,7 +1,9 @@
 """Backend parity: gmpy2 and the fractions fallback must give the same
-bytes for a verification report, a generated Sheffer basis, and a change
-of basis there and back."""
+bytes for a verification report, a generated Sheffer basis, a change of
+basis there and back, and the CLI's golden triangle and family outputs."""
 
+import contextlib
+import io
 import random
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from degenpoly.umbral import (
     expand_in_basis,
     sheffer_generate,
 )
+from test_cli import GOLDEN_OUTPUTS
 
 SRC = Path(degenpoly.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -37,8 +40,9 @@ test_backends.write_outputs(Path({out!r}))
 
 
 def write_outputs(out_dir: Path) -> None:
-    """The verify-all JSON report at n_max 4, a cap-16 generated basis, and
-    seeded polynomials expanded in that basis and combined back."""
+    """The verify-all JSON report at n_max 4, a cap-16 generated basis,
+    seeded polynomials expanded in that basis and combined back, and the
+    stdout of each command in test_cli.GOLDEN_OUTPUTS."""
     code = main(
         ["verify", "all", "--n-max", "4", "--format", "json",
          "--out", str(out_dir / "verify.json")]
@@ -56,6 +60,13 @@ def write_outputs(out_dir: Path) -> None:
         assert back == p
         lines += [poly_to_csv(PolyX(coeffs)), poly_to_csv(back)]
     (out_dir / "round_trip.csv").write_text("\n".join(lines))
+    texts = []
+    for argv, _ in GOLDEN_OUTPUTS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == 0
+        texts.append(buf.getvalue())
+    (out_dir / "triangles.csv").write_text("".join(texts))
 
 
 def test_gmpy2_and_fractions_backends_agree(tmp_path):
@@ -75,5 +86,5 @@ def test_gmpy2_and_fractions_backends_agree(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    for name in ("verify.json", "sheffer.csv", "round_trip.csv"):
+    for name in ("verify.json", "sheffer.csv", "round_trip.csv", "triangles.csv"):
         assert (native / name).read_bytes() == (fallback / name).read_bytes(), name

@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, serialization round trips,
 exit codes, and file output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,26 @@ from degenpoly.families import degenerate_bernoulli
 from degenpoly.triangles import degenerate_stirling1
 
 
+# sha256 of the stdout of `degenpoly <argv>` for outputs at the tables
+# benchmark's size; every triangle constructor and one family polynomial
+# built from a series reciprocal are among them.
+GOLDEN_OUTPUTS = (
+    (("triangle", "whitney-r1", "--n-max", "24", "--m", "3", "--r", "2",
+      "--format", "json"),
+     "b05971bde0cc3e6d64b65e3b2ff9eb02386a4dc16a32a75ecb9fd938a5485df8"),
+    (("triangle", "whitney-r2", "--n-max", "24", "--m", "3", "--r", "2",
+      "--format", "json"),
+     "1dc6c34530fc7b071ddf85f359144e8d2d70c9e9dffc06a938e82a14e5f5ae6f"),
+    (("triangle", "s1deg", "--n-max", "24", "--lambda=-5/11", "--format", "json"),
+     "95bb63dd1db73f631078c1ac8e58367c73eca3e61bfc26815a42d778700f0128"),
+    (("triangle", "whitney-deg", "--n-max", "24", "--m", "3", "--lambda=12/13",
+      "--format", "json"),
+     "e164d86758979db954fd4f8951fa69eb9849a0129256aaaa61ebf88b0b1e9bbe"),
+    (("poly", "bernoulli-deg", "--n", "20", "--lambda=-5/11", "--format", "json"),
+     "9cd1db1bee870cdfde9488b92ad31908c5a51bfd9f20810974d29fc95e80214a"),
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -28,6 +49,15 @@ def test_triangle_csv_golden(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "1"
     assert lines[-1] == "0,1,7,6,1"
+
+
+@pytest.mark.parametrize(
+    "argv, sha", GOLDEN_OUTPUTS, ids=["-".join(a[:2]) for a, _ in GOLDEN_OUTPUTS]
+)
+def test_golden_output_bytes(capsys, argv, sha):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_triangle_json_round_trip(capsys):

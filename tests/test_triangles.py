@@ -1,9 +1,13 @@
 """Number triangles: frozen entries, brute-force counting oracles,
 two-term recurrences, inversion, and the enumeration guard rails."""
 
+import random
+from math import comb, factorial
+
 import pytest
 
-from degenpoly.algebra import EgfSeries
+from degenpoly.algebra import EgfSeries, PolyX, _integer_row, _riordan_columns
+from degenpoly.kernels import degenerate_exp, lambda_log_series
 from degenpoly.rationals import Q, QONE, QZERO
 from degenpoly.triangles import (
     column_power_triangle,
@@ -218,3 +222,110 @@ def test_column_power_triangle_refuses_a_non_triangular_array():
     assert column_power_triangle(1, EgfSeries.one(2), t).rows == ((0,), (1, 1))
     with pytest.raises(ValueError, match=r"\(n, k\) = \(1, 2\)"):
         column_power_triangle(2, EgfSeries.one(2), t)
+
+
+def test_column_power_triangle_refuses_mismatched_and_symbolic_series():
+    with pytest.raises(ValueError, match="order caps differ"):
+        column_power_triangle(2, EgfSeries.t(3), EgfSeries.one(2))
+    with pytest.raises(ValueError, match="cannot give row 4"):
+        column_power_triangle(4, EgfSeries.t(2), EgfSeries.one(2))
+    x = PolyX.x()
+    with pytest.raises(ValueError, match="scalars"):
+        column_power_triangle(3, EgfSeries(3, [QZERO, QONE, x]))
+    with pytest.raises(ValueError, match="scalars"):
+        column_power_triangle(3, EgfSeries.t(3), EgfSeries(3, [QONE, x]))
+    with pytest.raises(ValueError, match="scalars"):
+        _riordan_columns(3, EgfSeries.t(3), EgfSeries(3, [PolyX.one()]))
+
+
+# ---------------------------------------------------------------------------
+# the integer Riordan kernel against a rational reference
+
+
+def fraction_riordan_array(n_max, base, lead=None):
+    """Reference [lead, base]: column k + 1 is the binomial convolution of
+    column k with base, term by term in rationals, and T(n, k) is column
+    k's entry n divided by k!."""
+    col = list(lead.a[: n_max + 1]) if lead is not None else [QONE] + [QZERO] * n_max
+    rows = [[] for _ in range(n_max + 1)]
+    for k in range(n_max + 1):
+        for n in range(k, n_max + 1):
+            rows[n].append(col[n] / Q(factorial(k)))
+        col = [
+            sum((comb(n, j) * col[j] * base.a[n - j] for j in range(n + 1)), QZERO)
+            for n in range(n_max + 1)
+        ]
+    return tuple(tuple(row) for row in rows)
+
+
+def _small_q(rng):
+    return QZERO if rng.random() < 0.25 else Q(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _random_series(rng, cap, order):
+    head = [QZERO] * min(order, cap + 1)
+    return EgfSeries(cap, head + [_small_q(rng) for _ in range(cap + 1 - len(head))])
+
+
+def _assert_matches_reference(n_max, base, lead=None):
+    got = column_power_triangle(n_max, base, lead)
+    want = fraction_riordan_array(n_max, base, lead)
+    assert got.rows == want
+    assert all(type(v) is type(QZERO) for row in got.rows for v in row)
+    # the kernel's columns are each column's least common denominator form
+    for k, column in enumerate(_riordan_columns(n_max, base, lead)):
+        entries = [got.rows[n][k] for n in range(k, n_max + 1)]
+        assert column == tuple(_integer_row(entries))
+
+
+LAMS = (Q(1, 3), Q(-2, 5), QZERO, Q(5, 4), Q(12, 13))
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_column_power_triangle_matches_the_rational_reference(lam):
+    # One array per cap, the kind rotating with the cap and the lam, so
+    # that over the five lam every kind meets every cap mod 4: the
+    # deformed log alone, the deformed exponential with itself as lead,
+    # and random bases of order 1 or 2 under random leads of order 0 or
+    # of positive order, cut at a random n_max.
+    rng = random.Random("riordan:%s" % lam)
+    for cap in range(25):
+        kind = (cap + LAMS.index(lam)) % 4
+        if kind == 0:
+            _assert_matches_reference(cap, lambda_log_series(lam, cap, limit_mode=True))
+        elif kind == 1:
+            dexp = degenerate_exp(QONE, lam, cap, limit_mode=True)
+            _assert_matches_reference(cap, dexp - 1, dexp)
+        else:
+            base = _random_series(rng, cap, rng.randint(1, 2))
+            lead = _random_series(rng, cap, 0 if kind == 2 else rng.randint(1, 3))
+            _assert_matches_reference(rng.randint(cap // 2, cap), base, lead)
+
+
+# ---------------------------------------------------------------------------
+# the basis-side triangles at the benchmark's size
+
+
+def test_stirling1_at_size_24():
+    tri = stirling1(24)
+    rec = build_by_recurrence(24, lambda n, k: Q(-n))
+    assert [list(row) for row in tri.rows] == rec
+    assert all(type(v) is type(QZERO) for row in tri.rows for v in row)
+
+
+def test_r_whitney_pair_at_size_24():
+    n_max = 24
+    for m in (1, 2, 3):
+        for r in (0, 1, 2):
+            first, second = r_whitney1(n_max, m, r), r_whitney2(n_max, m, r)
+            rec = build_by_recurrence(n_max, lambda n, k: Q(-(m * n + r)))
+            assert [list(row) for row in first.rows] == rec, (m, r)
+            rec = build_by_recurrence(n_max, lambda n, k: Q(k * m + r))
+            assert [list(row) for row in second.rows] == rec, (m, r)
+            for tri in (first, second):
+                assert all(type(v) is type(QZERO) for row in tri.rows for v in row)
+            for a, b in ((first, second), (second, first)):
+                for n in range(n_max + 1):
+                    for k in range(n + 1):
+                        got = sum(a[n, j] * b[j, k] for j in range(k, n + 1))
+                        assert got == (1 if n == k else 0), (m, r, n, k)

@@ -384,9 +384,15 @@ def test_connection_reads_only_the_cached_arrays(monkeypatch):
     assert not calls
     assert tri.rows == connection_coefficients(source, target, cap).rows
     assert not calls
-    # a target whose probe array is not built yet builds it: g f^k
+    # a target whose probe array is not built yet builds it from g and f
+    # alone, on integers, and keeps it
+    assert "probe_array" not in fresh.__dict__
     connection_coefficients(source, fresh, cap)
-    assert set(calls) == {"__mul__"}
+    assert not {"compose", "comp_inverse", "reciprocal"} & set(calls)
+    assert "probe_array" in fresh.__dict__
+    calls.clear()
+    connection_coefficients(source, fresh, cap)
+    assert not calls
 
 
 def test_pair_needs_cap_one_for_order_one():
